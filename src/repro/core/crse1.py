@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from repro.core.concircles import gen_con_circle
@@ -36,6 +37,7 @@ from repro.crypto.ssw import (
     SSWToken,
     ssw_encrypt,
     ssw_gen_token,
+    ssw_prepare_tokens,
     ssw_query,
     ssw_setup,
 )
@@ -100,6 +102,12 @@ class CRSE1Token:
     def alpha(self) -> int:
         """SSW vector length."""
         return self.ssw.n
+
+    @cached_property
+    def prepared(self) -> SSWToken:
+        """The SSW token prepared for a scan (:func:`ssw_prepare_tokens`),
+        built on first use and freed with this token."""
+        return ssw_prepare_tokens((self.ssw,))[0]
 
 
 class CRSE1Scheme(CRSEScheme[CRSE1Key, CRSE1Ciphertext, CRSE1Token]):
@@ -234,7 +242,7 @@ class CRSE1Scheme(CRSEScheme[CRSE1Key, CRSE1Ciphertext, CRSE1Token]):
                 "token/ciphertext vector length does not match this scheme "
                 "(was it produced by a key with a different radius?)"
             )
-        return ssw_query(token.ssw, ciphertext.ssw)
+        return ssw_query(token.prepared, ciphertext.ssw)
 
     def _check_key(self, key: CRSE1Key) -> None:
         if key.r_squared != self.r_squared or key.split.alpha != self.alpha:

@@ -15,6 +15,7 @@ from repro.crypto.ssw import (
     SSWToken,
     ssw_encrypt,
     ssw_gen_token,
+    ssw_prepare_tokens,
     ssw_query,
     ssw_query_element_count,
     ssw_query_pairing_count,
@@ -34,6 +35,7 @@ __all__ = [
     "serialize_token",
     "ssw_encrypt",
     "ssw_gen_token",
+    "ssw_prepare_tokens",
     "ssw_query",
     "ssw_query_element_count",
     "ssw_query_pairing_count",

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import abc
 import random
+from typing import Sequence
 
 from repro.errors import CryptoError
 
@@ -252,6 +253,20 @@ class CompositeBilinearGroup(abc.ABC):
     @abc.abstractmethod
     def pair(self, a: GroupElement, b: GroupElement) -> TargetElement:
         """Evaluate the symmetric bilinear pairing ``e(a, b)``."""
+
+    def prepare_fixed(
+        self, elements: Sequence[GroupElement]
+    ) -> Sequence[GroupElement]:
+        """Prepare *elements* as the fixed first argument of many pairings.
+
+        A scan pairs one token against every record, so backends whose
+        pairing has per-argument work independent of the other argument
+        (the curve's Miller lines) do that work here, once.  The returned
+        elements compare equal to the inputs and may stand in for them
+        anywhere; :meth:`multi_pair` takes the fast path when every first
+        argument is prepared.  This default returns the elements unchanged.
+        """
+        return elements
 
     def multi_pair(
         self, pairs: "list[tuple[GroupElement, GroupElement]]"

@@ -33,11 +33,21 @@ Two Miller-loop implementations coexist:
   the whole product.  :meth:`SupersingularPairingGroup.multi_pair` exposes
   this to SSW's ``Query``, collapsing its ``2n + 2`` final exponentiations
   into one.
+
+A third path serves the scan, where one token meets every record:
+:func:`fixed_argument_lines` / :func:`fixed_argument_pairing` (Costello and
+Stebila, "Fixed Argument Pairings", LATINCRYPT 2010).  The Miller point's
+walk ``T ← 2T, T ← T + P`` does not depend on the second argument, so its
+per-step line ``(λ, c = λ·x_T − y_T)`` is computed once per fixed point
+(:meth:`SupersingularPairingGroup.prepare_fixed`); each later evaluation
+costs one multiply plus the ``F_q²`` accumulator update per step.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+from typing import Sequence
 
 from repro.crypto.groups.base import (
     NUM_SUBGROUPS,
@@ -54,15 +64,18 @@ from repro.crypto.groups.curve import (
 from repro.crypto.groups.field import Fq2
 from repro.crypto.groups.params import PairingParams
 from repro.errors import CryptoError, SerializationError
-from repro.math.modular import modinv
+from repro.math.modular import batch_modinv, modinv
 
 __all__ = [
     "miller_loop",
     "multi_miller_loop",
     "reduced_tate_pairing",
     "product_tate_pairing",
+    "fixed_argument_lines",
+    "fixed_argument_pairing",
     "SupersingularPairingGroup",
     "CurveElement",
+    "PreparedCurveElement",
     "PairingTargetElement",
 ]
 
@@ -260,6 +273,130 @@ def product_tate_pairing(
     return reduced**cofactor
 
 
+#: Line-table entry for a Miller step with no line factor: a vertical line
+#: (or one touching infinity), whose value lies in ``F_q*`` and dies in the
+#: final exponentiation.  Real entries are non-negative.
+_VERTICAL = -1
+
+
+@functools.lru_cache(maxsize=8)
+def _miller_steps(order: int) -> tuple[bool, ...]:
+    """The Miller loop's steps for *order*: True for a doubling (tangent)
+    step, which squares the accumulator first; False for an addition
+    (chord) step.  ``bitlen(order) − 1`` doublings and
+    ``popcount(order) − 1`` additions."""
+    steps: list[bool] = []
+    for bit in bin(order)[3:]:  # skip the leading 1 bit
+        steps.append(True)
+        if bit == "1":
+            steps.append(False)
+    return tuple(steps)
+
+
+def fixed_argument_lines(
+    curve: SupersingularCurve, points: Sequence[Point], order: int
+) -> list[list[int]]:
+    """Precompute the Miller lines of every point in *points*.
+
+    For each point ``P`` the loop walks ``T`` from ``P`` exactly as
+    :func:`multi_miller_loop` does and records, per step, the line's slope
+    ``λ`` and intercept ``c = λ·x_T − y_T`` packed into one integer
+    ``λ·2^b + c`` (``b`` = the bit length of ``q``; a third less memory
+    than two integers), ``_VERTICAL`` marking a step without a line
+    factor.  The points advance in lockstep in affine coordinates, so each
+    step costs one :func:`~repro.math.modular.batch_modinv` shared by all
+    of them.
+
+    Returns:
+        One table per point, one entry per step of ``_miller_steps(order)``;
+        an empty table for the point at infinity (its pairings are 1).
+    """
+    q = curve.q
+    shift = q.bit_length()
+    tables: list[list[int]] = [[] for _ in points]
+    live = [i for i, point in enumerate(points) if not point.infinite]
+    tx = [point.x for point in points]
+    ty = [point.y for point in points]
+    at_infinity = [False] * len(points)
+
+    def advance(slopes: list[tuple[int, int, int, int]]) -> None:
+        # slopes: (index, numerator, denominator, x of the other point).
+        inverses = batch_modinv([den for _, _, den, _ in slopes], q)
+        for (i, num, _, x2), inverse in zip(slopes, inverses):
+            lam = num * inverse % q
+            x, y = tx[i], ty[i]
+            tables[i].append(lam << shift | (lam * x - y) % q)
+            x3 = (lam * lam - x - x2) % q
+            tx[i], ty[i] = x3, (lam * (x - x3) - y) % q
+
+    for doubling in _miller_steps(order):
+        slopes = []
+        for i in live:
+            x, y = tx[i], ty[i]
+            if doubling:
+                if at_infinity[i] or y == 0:
+                    # T = O stays O; a 2-torsion T has a vertical tangent.
+                    at_infinity[i] = True
+                    tables[i].append(_VERTICAL)
+                else:
+                    slopes.append((i, 3 * x * x + 1, 2 * y, x))
+                continue
+            px, py = points[i].x, points[i].y
+            if at_infinity[i]:
+                # T = O: T + P = P along a vertical line.
+                at_infinity[i] = False
+                tx[i], ty[i] = px, py
+                tables[i].append(_VERTICAL)
+            elif x != px:
+                slopes.append((i, py - y, px - x, px))
+            elif (y + py) % q == 0:
+                # T = −P: vertical chord, T + P = O.
+                at_infinity[i] = True
+                tables[i].append(_VERTICAL)
+            else:
+                # T = P: the chord degenerates to the tangent at T.
+                slopes.append((i, 3 * x * x + 1, 2 * y, px))
+        advance(slopes)
+    return tables
+
+
+def fixed_argument_pairing(
+    curve: SupersingularCurve,
+    pairs: Sequence[tuple[list[int], Point]],
+    order: int,
+    cofactor: int,
+) -> Fq2:
+    """Return the reduced product ``∏ ê(P_i, Q_i)`` from prepared lines.
+
+    Each pair is ``(lines of P_i, Q_i)`` with the lines from
+    :func:`fixed_argument_lines`.  One shared accumulator, squared once per
+    doubling step; per pair and step the line at ``φ(Q) = (−x_Q, i·y_Q)``
+    is ``λ·x_Q + c + i·y_Q``, so a step costs one multiply plus the
+    ``F_q²`` update — no point arithmetic.  Equal to
+    :func:`product_tate_pairing` on the same pairs (differentially tested).
+    """
+    q = curve.q
+    shift = q.bit_length()
+    mask = (1 << shift) - 1
+    rows = [
+        (lines, point.x, point.y)
+        for lines, point in pairs
+        if lines and not point.infinite
+    ]
+    fr, fi = 1, 0  # the shared accumulator, as raw F_q² coefficients
+    for step, doubling in enumerate(_miller_steps(order)):
+        if doubling:
+            fr, fi = (fr - fi) * (fr + fi) % q, 2 * fr * fi % q
+        for lines, x, y in rows:
+            line = lines[step]
+            if line != _VERTICAL:
+                real = (line >> shift) * x + (line & mask)  # λ·x_Q + c
+                fr, fi = (fr * real - fi * y) % q, (fr * y + fi * real) % q
+    f = Fq2(q, fr, fi)
+    reduced = f.conjugate() * f.inverse()  # f^(q-1)
+    return reduced**cofactor
+
+
 class CurveElement(GroupElement):
     """A point of the order-``N`` subgroup, as an abstract group element."""
 
@@ -306,6 +443,27 @@ class CurveElement(GroupElement):
 
     def __repr__(self) -> str:
         return f"CurveElement({self._point!r})"
+
+
+class PreparedCurveElement(CurveElement):
+    """A curve element carrying its Miller line table.
+
+    Built by :meth:`SupersingularPairingGroup.prepare_fixed`; as the first
+    argument of :meth:`~SupersingularPairingGroup.multi_pair` it skips the
+    point arithmetic.  Otherwise it behaves (and compares) exactly like its
+    plain :class:`CurveElement`.
+    """
+
+    __slots__ = ("lines",)
+
+    def __init__(
+        self, group: "SupersingularPairingGroup", point: Point, lines: list[int]
+    ):
+        super().__init__(group, point)
+        self.lines = lines
+
+    def __repr__(self) -> str:
+        return f"PreparedCurveElement({self._point!r})"
 
 
 class PairingTargetElement(TargetElement):
@@ -482,10 +640,36 @@ class SupersingularPairingGroup(CompositeBilinearGroup):
         )
         return PairingTargetElement(self, value)
 
+    def prepare_fixed(
+        self, elements: Sequence[GroupElement]
+    ) -> list[PreparedCurveElement]:
+        """Attach Miller line tables to *elements*, all in one lockstep pass.
+
+        Costs about one Miller loop per element; pays off once an element
+        is the first argument of two or more pairings.
+
+        Raises:
+            CryptoError: If any element is not a curve element of this group.
+        """
+        points = []
+        for element in elements:
+            if not isinstance(element, CurveElement) or element.group != self:
+                raise CryptoError("cannot prepare a foreign group element")
+            points.append(element.point)
+        tables = fixed_argument_lines(self.curve, points, self._order)
+        return [
+            PreparedCurveElement(self, point, lines)
+            for point, lines in zip(points, tables)
+        ]
+
     def multi_pair(
         self, pairs: list[tuple[GroupElement, GroupElement]]
     ) -> PairingTargetElement:
         """Product of pairings with one Miller loop and one final exp.
+
+        When every first argument is prepared (:meth:`prepare_fixed`) the
+        loop reads their line tables (:func:`fixed_argument_pairing`);
+        otherwise it runs :func:`product_tate_pairing` on the points.
 
         Raises:
             CryptoError: If any element is not a curve element of this
@@ -493,15 +677,23 @@ class SupersingularPairingGroup(CompositeBilinearGroup):
                 instead of deep inside the pairing arithmetic).
         """
         points: list[tuple[Point, Point]] = []
+        prepared: list[tuple[list[int], Point]] = []
         for a, b in pairs:
             if not isinstance(a, CurveElement) or not isinstance(b, CurveElement):
                 raise CryptoError("multi_pair requires curve elements")
             if a.group != self or b.group != self:
                 raise CryptoError("multi_pair elements from a different group")
             points.append((a.point, b.point))
-        value = product_tate_pairing(
-            self.curve, points, self._order, self._params.cofactor
-        )
+            if isinstance(a, PreparedCurveElement):
+                prepared.append((a.lines, b.point))
+        if len(prepared) == len(points):
+            value = fixed_argument_pairing(
+                self.curve, prepared, self._order, self._params.cofactor
+            )
+        else:
+            value = product_tate_pairing(
+                self.curve, points, self._order, self._params.cofactor
+            )
         return PairingTargetElement(self, value)
 
     def serialize_element(self, element: GroupElement) -> bytes:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.crypto.groups.base import (
     SUBGROUP_P,
@@ -63,6 +64,7 @@ __all__ = [
     "ssw_encrypt",
     "ssw_gen_token",
     "ssw_query",
+    "ssw_prepare_tokens",
     "ssw_query_element_count",
     "ssw_query_pairing_count",
 ]
@@ -306,13 +308,46 @@ def ssw_query(token: SSWToken, ciphertext: SSWCiphertext) -> bool:
         raise CryptoError(
             "token and ciphertext were built over different groups"
         )
+    # Token first: the reduced pairing is symmetric on the cyclic order-N
+    # subgroup, ê(aG, bG) = ê(G, G)^{ab} = ê(bG, aG), so the token can be
+    # the Miller point — the argument a scan holds fixed, which
+    # ssw_prepare_tokens prepares once for every record.
     pairs = [
-        (ciphertext.c, token.k),
-        (ciphertext.c0, token.k0),
-        *zip(ciphertext.c1, token.k1),
-        *zip(ciphertext.c2, token.k2),
+        (token.k, ciphertext.c),
+        (token.k0, ciphertext.c0),
+        *zip(token.k1, ciphertext.c1),
+        *zip(token.k2, ciphertext.c2),
     ]
     return group.multi_pair(pairs).is_identity()
+
+
+def ssw_prepare_tokens(tokens: Sequence[SSWToken]) -> tuple[SSWToken, ...]:
+    """Prepare *tokens* for scanning many ciphertexts.
+
+    Every token element becomes a fixed pairing argument
+    (:meth:`~repro.crypto.groups.base.CompositeBilinearGroup.prepare_fixed`)
+    in one pass over all the tokens' elements, so the curve backend shares
+    each Miller step's inversion across all of them.  The returned tokens
+    are equal to the inputs and give the same :func:`ssw_query` answers;
+    on backends without a fixed-argument fast path they are the inputs'
+    elements unchanged.
+    """
+    if not tokens:
+        return ()
+    group = tokens[0].k.group
+    flat = group.prepare_fixed(
+        [element for token in tokens for element in token.elements()]
+    )
+    prepared = []
+    start = 0
+    for token in tokens:
+        n = token.n
+        k, k0, *rest = flat[start : start + 2 * n + 2]
+        prepared.append(
+            SSWToken(k=k, k0=k0, k1=tuple(rest[:n]), k2=tuple(rest[n:]))
+        )
+        start += 2 * n + 2
+    return tuple(prepared)
 
 
 def ssw_query_pairing_count(n: int) -> int:

@@ -9,6 +9,8 @@ supersingular curves), and the Chinese Remainder Theorem.
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "egcd",
     "modinv",
@@ -37,25 +39,30 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
 def modinv(a: int, n: int) -> int:
     """Return the inverse of *a* modulo *n*.
 
+    Uses the built-in ``pow(a, -1, n)`` (about twice as fast as the
+    pure-Python :func:`egcd` at pairing field sizes); the two are
+    differentially tested.
+
     Raises:
         ValueError: If ``gcd(a, n) != 1``.
     """
-    g, x, _ = egcd(a % n, n)
-    if g != 1:
-        # Never echo the operand: in a composite-order group a
-        # non-invertible value shares a factor with n, so printing it (or
-        # the gcd) would hand out part of the secret factorization.
-        raise ValueError(
-            f"value is not invertible modulo the {n.bit_length()}-bit "
-            f"modulus (gcd is {g.bit_length()} bits)"
-        )
-    return x % n
+    try:
+        return pow(a, -1, n)
+    except ValueError:
+        g = math.gcd(a, n)
+    # Never echo the operand: in a composite-order group a non-invertible
+    # value shares a factor with n, so printing it (or the gcd) would hand
+    # out part of the secret factorization.
+    raise ValueError(
+        f"value is not invertible modulo the {n.bit_length()}-bit "
+        f"modulus (gcd is {g.bit_length()} bits)"
+    ) from None
 
 
 def batch_modinv(values: list[int], n: int) -> list[int]:
     """Invert every entry of *values* modulo *n* with a single inversion.
 
-    Montgomery's trick: one extended-gcd inversion plus ``3(k - 1)``
+    Montgomery's trick: one modular inversion plus ``3(k - 1)``
     multiplications replace ``k`` inversions.  This is what makes batched
     normalization of projective curve points affordable (the elliptic-curve
     layer converts whole precomputation tables to affine form at once).

@@ -42,6 +42,7 @@ Robustness semantics:
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 import threading
 import time
@@ -67,6 +68,8 @@ from repro.service.schemeio import scheme_header
 from repro.storage import RecordStore
 
 __all__ = ["FramedServer", "ServiceConfig", "ServiceServer"]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -412,6 +415,15 @@ class FramedServer:
             return protocol.encode_error(
                 request.request_id, protocol.ERR_INTERNAL, str(exc)
             )
+        except Exception as exc:
+            # A bug, not a typed failure: log the traceback here, and
+            # still answer the client, naming only the exception type.
+            _log.exception("internal error serving %r", request.verb)
+            return protocol.encode_error(
+                request.request_id,
+                protocol.ERR_INTERNAL,
+                f"internal error ({type(exc).__name__})",
+            )
         finally:
             self._in_flight -= 1
             elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -509,6 +521,9 @@ class ServiceServer(FramedServer):
         # plus the membership accumulator (see repro.integrity.shard).
         self.integrity = ShardIntegrity()
         self._last_proof = "never"
+        # Uploads and deletes run on executor threads; they mutate the
+        # store (and its MANIFEST checkpoint) one at a time.
+        self._write_lock = threading.Lock()
         if store is not None:
             self._replay_store(store)
 
@@ -569,28 +584,30 @@ class ServiceServer(FramedServer):
         Returns:
             Total records stored after the batch.
         """
-        prepared = self.cloud.prepare_upload(message)
-        if self.store is not None:
-            self.store.append(
-                (
-                    record.identifier,
-                    record.payload,
-                    record.content,
-                    record.tag,
-                    record.mtag,
+        with self._write_lock:
+            prepared = self.cloud.prepare_upload(message)
+            if self.store is not None:
+                self.store.append(
+                    (
+                        record.identifier,
+                        record.payload,
+                        record.content,
+                        record.tag,
+                        record.mtag,
+                    )
+                    for record in message.records
                 )
+            self.cloud.commit_upload(prepared)
+            self.engine.load(
+                (record.identifier, record.payload)
                 for record in message.records
             )
-        self.cloud.commit_upload(prepared)
-        self.engine.load(
-            (record.identifier, record.payload) for record in message.records
-        )
-        for record in message.records:
-            self.integrity.add(
-                record.identifier, record.payload, record.tag, record.mtag
-            )
-        self._checkpoint_integrity()
-        return self.cloud.record_count
+            for record in message.records:
+                self.integrity.add(
+                    record.identifier, record.payload, record.tag, record.mtag
+                )
+            self._checkpoint_integrity()
+            return self.cloud.record_count
 
     def _checkpoint_integrity(self) -> None:
         """Checkpoint the accumulator into the manifest (durable stores).
@@ -629,23 +646,17 @@ class ServiceServer(FramedServer):
     async def _do_search(self, request: protocol.Request) -> dict:
         message = protocol.search_from_fields(request.fields)
         verify = protocol.search_wants_verify(request.fields)
-        return await self._offload(self._search_once, message.payload, verify)
+        return await self._admitted(
+            [message.payload], self._search_once, message.payload, verify
+        )
 
     async def _do_search_batch(self, request: protocol.Request) -> dict:
         payloads = protocol.search_batch_from_fields(request.fields)
 
         def run_batch() -> dict:
-            # Decode and log every token first (a malformed one rejects
-            # the whole batch before any worker sees it), then hand the
-            # vector to the engine in one dispatch per shard — the
-            # per-task pool overhead that dominates small-dataset
-            # searches is paid once for the batch.  Leakage-wise each
-            # token is still recorded as its own query, so a batch
-            # observes exactly N independent searches.
-            for payload in payloads:
-                message = SearchRequest(payload=payload)
-                token = decode_token(self.cloud.scheme, payload)
-                self.cloud._record_query_leakage(message, token)
+            # One dispatch per shard for the whole vector — the per-task
+            # pool overhead that dominates small-dataset searches is paid
+            # once for the batch.
             engine_results = self.engine.search_batch(payloads)
             results = []
             for result in engine_results:
@@ -656,18 +667,32 @@ class ServiceServer(FramedServer):
                 )
             return protocol.batch_results_fields(results)
 
-        return await self._offload(run_batch)
+        return await self._admitted(payloads, run_batch)
+
+    async def _admitted(self, payloads, search, *args) -> dict:
+        """Run *search* on the executor while the tokens are admitted.
+
+        Admission decodes every token in this process and logs it as its
+        own query, so a batch observes exactly N independent searches and
+        the leakage log records what handle_search would record; a
+        malformed token fails the request with PROTOCOL.  It runs alongside
+        the scan rather than before it: every engine worker runs the same
+        full decode (subgroup checks included) before any pairing, so
+        admission adds no latency on a multi-core host.
+        """
+        fields, _ = await asyncio.gather(
+            self._offload(search, *args),
+            self._offload(self._admit_tokens, payloads),
+        )
+        return fields
+
+    def _admit_tokens(self, payloads) -> None:
+        for payload in payloads:
+            token = decode_token(self.cloud.scheme, payload)
+            self.cloud._record_query_leakage(SearchRequest(payload=payload), token)
 
     def _search_once(self, payload: bytes, verify: bool) -> dict:
-        """Run one token against the engine (executor thread).
-
-        Decode in the parent first: a malformed token is rejected with
-        PROTOCOL before any worker sees it, and the leakage log records
-        exactly what handle_search would record.
-        """
-        message = SearchRequest(payload=payload)
-        token = decode_token(self.cloud.scheme, payload)
-        self.cloud._record_query_leakage(message, token)
+        """Run one token against the engine (executor thread)."""
         result = self.engine.search(payload)
         self.cloud.log.access_pattern.append(result.identifiers)
         self.cloud.last_search_stats = result.stats
@@ -728,14 +753,15 @@ class ServiceServer(FramedServer):
             # Tombstone first: if we crash after the disk write the
             # replayed state matches what the client was (about to be)
             # told; crashing before it just loses an unacked request.
-            if self.store is not None:
-                self.store.delete(message.identifiers)
-            removed = self.cloud.handle_delete(message)
-            self.engine.delete(message.identifiers)
-            for identifier in message.identifiers:
-                self.integrity.remove(identifier)
-            self._checkpoint_integrity()
-            return removed
+            with self._write_lock:
+                if self.store is not None:
+                    self.store.delete(message.identifiers)
+                removed = self.cloud.handle_delete(message)
+                self.engine.delete(message.identifiers)
+                for identifier in message.identifiers:
+                    self.integrity.remove(identifier)
+                self._checkpoint_integrity()
+                return removed
 
         return {"removed": await self._offload(work)}
 

@@ -12,6 +12,9 @@ from repro.core.base import EncryptedRecord, encrypt_dataset, linear_search
 from repro.core.crse2 import CRSE2Scheme, dummy_circle
 from repro.core.geometry import Circle, DataSpace, point_in_circle
 from repro.core.provision import group_for_crse2
+from repro.cloud.codec import decode_token, encode_token
+from repro.crypto.groups.pairing import PreparedCurveElement
+from repro.crypto.ssw import ssw_query
 from repro.errors import ParameterError, SchemeError
 
 
@@ -151,6 +154,67 @@ class TestStats:
             token, scheme.encrypt(key, (0, 0), rng)
         )
         assert not matched and evaluated == token.num_sub_tokens
+
+
+def _unprepared_stats(token, ciphertext):
+    """``matches_with_stats`` on the raw sub-tokens: the reference."""
+    for evaluated, sub in enumerate(token.sub_tokens, start=1):
+        if ssw_query(sub, ciphertext.ssw):
+            return True, evaluated
+    return False, token.num_sub_tokens
+
+
+class TestPreparedScan:
+    """The scan's prepared token (fixed-argument pairings) against the raw
+    sub-tokens, on the curve backend where preparing changes the work."""
+
+    @pytest.fixture(scope="class")
+    def curve_setup(self, pairing_group):
+        rng = random.Random(37)
+        scheme = CRSE2Scheme(DataSpace(2, 16), pairing_group)
+        return scheme, scheme.gen_key(rng)
+
+    @pytest.mark.parametrize("decoded", [False, True])
+    def test_same_matches_and_evaluations(self, curve_setup, decoded):
+        scheme, key = curve_setup
+        rng = random.Random(41)
+        q = Circle.from_radius((8, 8), 2)
+        points = [(8, 10), (9, 9), (8, 8), (10, 8), (0, 0), (15, 3), (8, 11)]
+        ciphertexts = [scheme.encrypt(key, p, rng) for p in points]
+        token = scheme.gen_token(key, q, rng)
+        if decoded:
+            token = decode_token(scheme, encode_token(scheme, token))
+        expected = [_unprepared_stats(token, ct) for ct in ciphertexts]
+        assert [m for m, _ in expected] == [
+            point_in_circle(p, q) for p in points
+        ]
+        assert [scheme.matches_with_stats(token, ct) for ct in ciphertexts] == (
+            expected
+        )
+        assert [scheme.matches(token, ct) for ct in ciphertexts] == [
+            m for m, _ in expected
+        ]
+
+    def test_prepared_once_per_token(self, curve_setup, rng):
+        scheme, key = curve_setup
+        token = scheme.gen_token(key, Circle.from_radius((4, 4), 1), rng)
+        prepared = token.prepared
+        assert token.prepared is prepared
+        assert prepared == token.sub_tokens
+        assert all(
+            isinstance(element, PreparedCurveElement)
+            for sub in prepared
+            for element in sub.elements()
+        )
+
+    def test_fast_backend_prepares_nothing(self, setup, rng):
+        scheme, key = setup
+        token = scheme.gen_token(key, Circle.from_radius((4, 4), 1), rng)
+        for prepared, sub in zip(token.prepared, token.sub_tokens):
+            assert prepared.elements() == sub.elements()
+            assert all(
+                a is b for a, b in zip(prepared.elements(), sub.elements())
+            )
 
 
 class TestDatasetHelpers:

@@ -47,6 +47,32 @@ class TestModinv:
     def test_negative_input(self):
         assert (-3) * modinv(-3, 7) % 7 == 1
 
+    @given(st.integers(-(2**130), 2**130), st.integers(2, 2**128))
+    def test_matches_egcd_reference(self, a, n):
+        # The built-in pow(a, -1, n) against the pure-Python Euclid it
+        # replaced: same inverse where one exists, same refusal otherwise.
+        g, x, _ = egcd(a % n, n)
+        if g == 1:
+            assert modinv(a, n) == x % n
+        else:
+            with pytest.raises(ValueError):
+                modinv(a, n)
+
+    def test_non_invertible_modulo_composite_is_redacted(self):
+        # 3·5·7·11: every multiple of a factor is refused, and the message
+        # gives bit lengths only — never the operand or the shared factor.
+        n = 3 * 5 * 7 * 11
+        for a in (0, 3, 35, 2 * 7 * 11, n, n + 5):
+            with pytest.raises(ValueError) as info:
+                modinv(a, n)
+            g = math.gcd(a, n)
+            assert str(info.value) == (
+                "value is not invertible modulo the 11-bit modulus "
+                f"(gcd is {g.bit_length()} bits)"
+            )
+        for a in (1, 2, 4, 13, n - 1, -1):
+            assert a * modinv(a, n) % n == 1
+
 
 class TestJacobi:
     def test_matches_legendre_for_primes(self):

@@ -30,7 +30,13 @@ from repro.crypto.groups.fastgroup import (
     FastTargetElement,
 )
 from repro.crypto.groups.params import default_test_params
-from repro.crypto.ssw import ssw_encrypt, ssw_gen_token, ssw_query, ssw_setup
+from repro.crypto.ssw import (
+    ssw_encrypt,
+    ssw_gen_token,
+    ssw_prepare_tokens,
+    ssw_query,
+    ssw_setup,
+)
 
 
 @dataclass
@@ -113,6 +119,22 @@ class TestDynamicVerification:
         tk = ssw_gen_token(key, [0] * n, random.Random(3))
         counts.pairings = counts.final_exps = 0
         ssw_query(tk, ct)
+        expected = ssw_query_ops(n)
+        assert counts.pairings == expected.pairings
+        assert counts.final_exps == expected.final_exps == 1
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_prepared_query_count(self, counted, n):
+        # Preparing a token for a scan is no pairing work of its own, and a
+        # prepared query is still one product of 2n + 2 pairings.
+        group, counts = counted
+        key = ssw_setup(group, n, random.Random(1))
+        ct = ssw_encrypt(key, list(range(n)), random.Random(2))
+        tk = ssw_gen_token(key, [0] * n, random.Random(3))
+        counts.pairings = counts.final_exps = 0
+        (prepared,) = ssw_prepare_tokens([tk])
+        assert counts.pairings == counts.final_exps == 0
+        ssw_query(prepared, ct)
         expected = ssw_query_ops(n)
         assert counts.pairings == expected.pairings
         assert counts.final_exps == expected.final_exps == 1

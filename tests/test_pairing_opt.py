@@ -2,10 +2,11 @@
 
 Every optimized path is pinned to its naive reference implementation:
 wNAF/Jacobian scalar multiplication against double-and-add, fixed-base
-tables against plain multiplication, and the shared-final-exponentiation
-product of pairings against the per-pair product.  A full SSW differential
-run checks that the two group backends still agree on match decisions with
-all optimizations enabled.
+tables against plain multiplication, the shared-final-exponentiation
+product of pairings against the per-pair product, and prepared
+(fixed-argument) pairings against ``product_tate_pairing``.  A full SSW
+differential run checks that the two group backends still agree on match
+decisions with all optimizations enabled.
 """
 
 from __future__ import annotations
@@ -14,22 +15,28 @@ import random
 
 import pytest
 
-from repro.crypto.groups.base import CompositeBilinearGroup
+from repro.crypto.groups.base import NUM_SUBGROUPS, CompositeBilinearGroup
 from repro.crypto.groups.curve import (
     INFINITY,
     FixedBaseTable,
     Point,
+    SupersingularCurve,
 )
 from repro.crypto.groups.fastgroup import FastCompositeGroup
 from repro.crypto.groups.pairing import (
+    PreparedCurveElement,
     SupersingularPairingGroup,
+    fixed_argument_lines,
+    fixed_argument_pairing,
     product_tate_pairing,
     reduced_tate_pairing,
 )
 from repro.crypto.groups.params import toy_params
+from repro.crypto.serialize import deserialize_token, serialize_token
 from repro.crypto.ssw import (
     ssw_encrypt,
     ssw_gen_token,
+    ssw_prepare_tokens,
     ssw_query,
     ssw_setup,
 )
@@ -241,3 +248,200 @@ class TestBackendDifferential:
                 tk = ssw_gen_token(key, v, random.Random(300 + seed))
                 decisions.append(ssw_query(tk, ct))
             assert decisions[0] == decisions[1] == expected, (x, v)
+
+
+def _query_pairs(ciphertext, token):
+    """SSW ``Query``'s pairs in the original (ciphertext, token) order."""
+    return [
+        (ciphertext.c, token.k),
+        (ciphertext.c0, token.k0),
+        *zip(ciphertext.c1, token.k1),
+        *zip(ciphertext.c2, token.k2),
+    ]
+
+
+def _reference(group, pairs):
+    """``product_tate_pairing`` on the raw points, in the given order."""
+    return product_tate_pairing(
+        group.curve,
+        [(a.point, b.point) for a, b in pairs],
+        group.order,
+        group.params.cofactor,
+    )
+
+
+class TestFixedArgumentLines:
+    # y² = x³ + x over F_1019 has 1020 = 4·3·5·17 points.  Miller loops of
+    # order 255 = 0b11111111 over its 255-torsion meet every degenerate
+    # step: T = O mid-loop (orders 3, 5, 15, 17, …), T = P at a chord, and
+    # T = −P at the last one.
+    CURVE = SupersingularCurve(1019)
+    ORDER = 255
+    COFACTOR = 1020 // 255
+
+    def _points(self, rng):
+        curve = self.CURVE
+        torsion = {
+            curve.multiply(curve.random_point(rng), self.COFACTOR)
+            for _ in range(400)
+        }
+        return sorted(torsion, key=lambda p: (p.infinite, p.x, p.y))
+
+    def test_step_count(self, rng):
+        order = self.ORDER
+        steps = (order.bit_length() - 1) + (bin(order).count("1") - 1)
+        (lines,) = fixed_argument_lines(
+            self.CURVE, [self._points(rng)[0]], order
+        )
+        assert len(lines) == steps
+
+    def test_matches_product_tate_on_every_small_point(self, rng):
+        curve = self.CURVE
+        points = self._points(rng)
+        assert len(points) > 100  # most of the 255-torsion, orders 1..255
+        tables = fixed_argument_lines(curve, points, self.ORDER)
+        for p, lines in zip(points, tables):
+            for q_point in rng.sample(points, 3):
+                expected = product_tate_pairing(
+                    curve, [(p, q_point)], self.ORDER, self.COFACTOR
+                )
+                got = fixed_argument_pairing(
+                    curve, [(lines, q_point)], self.ORDER, self.COFACTOR
+                )
+                assert got == expected, (p, q_point)
+
+    def test_torsion_and_off_subgroup_points(self, rng):
+        # Not in the 255-torsion at all: the walk is still the same one
+        # multi_miller_loop takes, vertical tangent at (0, 0) included.
+        curve = self.CURVE
+        points = [Point(0, 0), *(curve.random_point(rng) for _ in range(20))]
+        tables = fixed_argument_lines(curve, points, self.ORDER)
+        for p, lines in zip(points, tables):
+            q_point = curve.random_point(rng)
+            assert fixed_argument_pairing(
+                curve, [(lines, q_point)], self.ORDER, self.COFACTOR
+            ) == product_tate_pairing(
+                curve, [(p, q_point)], self.ORDER, self.COFACTOR
+            )
+
+    def test_infinity_has_no_lines(self):
+        (lines,) = fixed_argument_lines(self.CURVE, [INFINITY], self.ORDER)
+        assert lines == []
+
+
+class TestPreparedMultiPair:
+    def test_random_subgroup_elements(self, group, rng):
+        g = group.generator()
+        for count in (1, 2, 10):
+            pairs = [
+                (g ** rng.randrange(group.order), g ** rng.randrange(group.order))
+                for _ in range(count)
+            ]
+            fixed = group.prepare_fixed([b for _, b in pairs])
+            got = group.multi_pair(list(zip(fixed, [a for a, _ in pairs])))
+            assert got.value == _reference(group, pairs)
+
+    def test_identity_elements(self, group, rng):
+        g = group.generator()
+        other = g ** rng.randrange(1, group.order)
+        fixed = group.prepare_fixed([group.identity(), other, group.identity()])
+        pairs = [
+            (fixed[0], g),
+            (fixed[1], group.identity()),
+            (fixed[2], group.identity()),
+        ]
+        assert group.multi_pair(pairs).is_identity()
+        pairs.append((fixed[1], g))
+        assert group.multi_pair(pairs).value == _reference(
+            group, [(g, other)]
+        )
+
+    @pytest.mark.parametrize("index", range(NUM_SUBGROUPS))
+    def test_single_subgroup_generators(self, group, rng, index):
+        h = group.subgroup_generator(index)
+        (fixed,) = group.prepare_fixed([h])
+        other = group.subgroup_generator((index + 1) % NUM_SUBGROUPS)
+        for b in (h, group.generator(), other):
+            assert group.multi_pair([(fixed, b)]).value == _reference(
+                group, [(b, h)]
+            )
+
+    @pytest.mark.parametrize("decoded", [False, True])
+    @pytest.mark.parametrize("v", [[1, -3, 0, 0], [1, 1, 1, 1]])
+    def test_ssw_tokens(self, group, decoded, v):
+        rng = random.Random(0x70C3)
+        key = ssw_setup(group, 4, rng)
+        ciphertext = ssw_encrypt(key, [3, 1, 4, 1], rng)
+        token = ssw_gen_token(key, v, rng)
+        if decoded:
+            token = deserialize_token(group, serialize_token(group, token))
+        (prepared,) = ssw_prepare_tokens([token])
+        assert prepared == token
+        assert all(
+            isinstance(e, PreparedCurveElement) for e in prepared.elements()
+        )
+        got = group.multi_pair(
+            [(t, c) for c, t in _query_pairs(ciphertext, prepared)]
+        )
+        assert got.value == _reference(group, _query_pairs(ciphertext, token))
+        assert ssw_query(prepared, ciphertext) is ssw_query(token, ciphertext)
+        assert ssw_query(token, ciphertext) is (v == [1, -3, 0, 0])
+
+    def test_mixed_pairs_fall_back(self, group, rng, monkeypatch):
+        import repro.crypto.groups.pairing as pairing_module
+
+        g = group.generator()
+        a, b, c, d = (g ** rng.randrange(1, group.order) for _ in range(4))
+        fixed_a, fixed_c = group.prepare_fixed([a, c])
+        calls = []
+        real = pairing_module.fixed_argument_pairing
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pairing_module, "fixed_argument_pairing", spy)
+        expected = _reference(group, [(b, a), (d, c)])
+        assert group.multi_pair([(fixed_a, b), (c, d)]).value == expected
+        assert group.multi_pair([(a, b), (fixed_c, d)]).value == expected
+        # A prepared element as the *second* argument is just a point.
+        assert group.multi_pair([(b, fixed_a), (d, fixed_c)]).value == expected
+        assert calls == []
+        assert group.multi_pair([(fixed_a, b), (fixed_c, d)]).value == expected
+        assert len(calls) == 1
+
+    def test_prepared_elements_behave_like_plain_ones(self, group, rng):
+        element = group.generator() ** rng.randrange(1, group.order)
+        (fixed,) = group.prepare_fixed([element])
+        assert fixed == element and hash(fixed) == hash(element)
+        assert fixed * element == element * element
+        assert fixed ** 5 == element ** 5
+        assert group.serialize_element(fixed) == group.serialize_element(element)
+
+    def test_prepare_rejects_foreign_elements(self, group, fast):
+        other = SupersingularPairingGroup(toy_params(seed=2))
+        for foreign in (fast.generator(), other.generator()):
+            with pytest.raises(CryptoError):
+                group.prepare_fixed([group.generator(), foreign])
+
+
+class TestFastBackendUnchanged:
+    def test_prepare_is_the_identity(self, fast, rng):
+        elements = [fast.generator() ** rng.randrange(fast.order) for _ in range(5)]
+        assert fast.prepare_fixed(elements) is elements
+
+    def test_query_values_bit_for_bit(self, fast):
+        # The token-first order gives the same target element, not just the
+        # same identity test: the fast pairing is an exponent product.
+        rng = random.Random(0xFA57)
+        key = ssw_setup(fast, 4, rng)
+        ciphertext = ssw_encrypt(key, [2, 7, 1, 8], rng)
+        for v in ([7, -2, 0, 0], [1, 2, 3, 4]):
+            token = ssw_gen_token(key, v, rng)
+            (prepared,) = ssw_prepare_tokens([token])
+            assert prepared.elements() == token.elements()
+            pairs = _query_pairs(ciphertext, token)
+            swapped = [(t, c) for c, t in pairs]
+            assert fast.multi_pair(swapped) == fast.multi_pair(pairs)
+            assert fast.multi_pair(swapped).exponent == fast.multi_pair(pairs).exponent
+            assert ssw_query(prepared, ciphertext) is (v == [7, -2, 0, 0])

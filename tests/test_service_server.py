@@ -240,6 +240,30 @@ class TestWireFaults:
             client.search(b"\x00\x01not-a-token")
         assert client.health()["status"] == "ok"
 
+    def test_untyped_failure_still_gets_a_redacted_reply(self, env):
+        scheme, dataset, _ = env
+        server = ServiceServer(scheme, engine=SlowEngine(delay_s=0.0))
+
+        def broken_ingest(message):
+            raise FileNotFoundError("/data/MANIFEST.json.tmp record-0")
+
+        server.ingest = broken_ingest
+        reply = protocol.decode_reply(
+            asyncio.run(
+                server._handle_request(
+                    protocol.Request(
+                        verb="upload",
+                        request_id=5,
+                        deadline_ms=None,
+                        fields=protocol.upload_fields(dataset),
+                    )
+                )
+            )
+        )
+        assert reply.request_id == 5 and not reply.ok
+        assert reply.error_code == protocol.ERR_INTERNAL
+        assert reply.error_message == "internal error (FileNotFoundError)"
+
 
 # ----------------------------------------------------------------------
 # Deadlines (acceptance: typed timeout, server keeps serving)

@@ -12,7 +12,9 @@ twin after every combination of upload, delete, compaction, and replay.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -23,7 +25,9 @@ from repro.core.geometry import Circle, DataSpace
 from repro.core.provision import group_for_crse2
 from repro.errors import StorageError
 from repro.service import protocol
+from repro.service.aio import AsyncServiceClient
 from repro.service.engine import SearchEngine
+from repro.service.harness import ServerThread
 from repro.service.schemeio import scheme_header
 from repro.service.server import ServiceConfig, ServiceServer
 from repro.storage import RecordStore
@@ -234,3 +238,57 @@ class TestReplayEquivalence:
         assert b"duplicate" in reply
         assert server.store.snapshot().records_logged == logged_before
         stop(server)
+
+
+class TestConcurrentWrites:
+    def test_concurrent_uploads_and_deletes_are_all_acked(self, env, tmp_path):
+        # Writes run on executor threads and each checkpoints the store's
+        # MANIFEST; racing checkpoints once lost a reply (the loser's
+        # os.replace raised outside the typed-error ladder).
+        scheme, dataset, _, _ = env
+        store = RecordStore.create(tmp_path / "data", scheme_header(scheme))
+        server = make_server(scheme, store=store)
+        uploads = [
+            UploadDataset(
+                records=(
+                    dataclasses.replace(
+                        dataset.records[i % len(dataset.records)],
+                        identifier=100 + i,
+                    ),
+                )
+            )
+            for i in range(8)
+        ]
+        doomed = [record.identifier for record in dataset.records]
+
+        async def scenario():
+            async with AsyncServiceClient(
+                "127.0.0.1", thread.port, timeout_s=20.0
+            ) as client:
+                await client.upload(dataset)
+                acks = await asyncio.gather(
+                    *(client.upload(batch) for batch in uploads),
+                    *(client.delete((identifier,)) for identifier in doomed),
+                )
+                return acks, await client.health()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the executor threads
+        try:
+            with ServerThread(server) as thread:
+                acks, health = asyncio.run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+        stored, removed = acks[: len(uploads)], acks[len(uploads) :]
+        assert all(1 <= count <= len(doomed) + len(uploads) for count in stored)
+        assert removed == [1] * len(doomed)
+        assert health["records"] == len(uploads)
+
+        reborn = make_server(scheme, store=RecordStore.open(tmp_path / "data"))
+        try:
+            assert reborn.cloud.record_count == len(uploads)
+            assert sorted(
+                row[0] for row in reborn.store.scan_tagged()
+            ) == list(range(100, 108))
+        finally:
+            stop(reborn)
