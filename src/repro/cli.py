@@ -43,6 +43,8 @@ from pathlib import Path
 
 from repro.cloud.codec import decode_ciphertext, decode_token, encode_ciphertext, encode_token
 from repro.cloud.costmodel import PAPER_EC2_MODEL, measure_calibration
+from repro.cloud.server import scan
+from repro.core.base import EncryptedRecord
 from repro.core.concircles import num_concentric_circles
 from repro.core.crse2 import CRSE2Scheme
 from repro.core.geometry import Circle, DataSpace
@@ -384,14 +386,11 @@ def _cmd_token(args, out) -> int:
 def _cmd_search(args, out) -> int:
     scheme, _key = load_crse2_key(args.key.read_bytes())
     token = decode_token(scheme, args.token.read_bytes())
-    matches = []
-    for line in args.records.read_text().splitlines():
-        if not line.strip():
-            continue
-        identifier, hex_blob = line.split(":", 1)
-        ciphertext = decode_ciphertext(scheme, bytes.fromhex(hex_blob))
-        if scheme.matches(token, ciphertext):
-            matches.append(int(identifier))
+    records = [
+        EncryptedRecord(identifier, decode_ciphertext(scheme, blob))
+        for identifier, blob in _read_records_file(args.records)
+    ]
+    matches, _stats = scan(scheme, token, records)
     print(f"matches: {matches}", file=out)
     return 0
 
@@ -465,12 +464,31 @@ def _read_records_file(path: Path) -> list[tuple[int, bytes]]:
     return records
 
 
+def _tagged_dataset(tag_keys, records):
+    """An upload of ``(identifier, payload)`` *records* carrying the
+    integrity tags an owner upload mints, so ``--verify`` queries stay
+    answerable."""
+    from repro.cloud.messages import UploadDataset, UploadRecord
+    from repro.integrity import membership_tag, record_tag
+
+    return UploadDataset(
+        records=tuple(
+            UploadRecord(
+                identifier=i,
+                payload=blob,
+                tag=record_tag(tag_keys, i, blob),
+                mtag=membership_tag(tag_keys, i),
+            )
+            for i, blob in records
+        )
+    )
+
+
 def _cmd_serve(args, out) -> int:
     import asyncio
     import os
 
-    from repro.cloud.messages import UploadDataset, UploadRecord
-    from repro.integrity import TagKeys, membership_tag, record_tag
+    from repro.integrity import TagKeys
     from repro.service import ServiceConfig, ServiceServer
     from repro.service.schemeio import scheme_header
 
@@ -508,22 +526,9 @@ def _cmd_serve(args, out) -> int:
         else:
             # The serve CLI already holds the owner's key file, so the
             # preload path mints the same integrity tags an owner upload
-            # would — keeping --verify queries answerable.
-            tag_keys = TagKeys.derive(scheme, key)
+            # would.
             records = _read_records_file(args.records)
-            server.ingest(
-                UploadDataset(
-                    records=tuple(
-                        UploadRecord(
-                            identifier=i,
-                            payload=blob,
-                            tag=record_tag(tag_keys, i, blob),
-                            mtag=membership_tag(tag_keys, i),
-                        )
-                        for i, blob in records
-                    )
-                )
-            )
+            server.ingest(_tagged_dataset(TagKeys.derive(scheme, key), records))
             print(f"preloaded {len(records)} records", file=out)
 
     async def main() -> None:
@@ -599,13 +604,7 @@ def _cmd_query(args, out) -> int:
     import json as _json
 
     from repro.errors import ParameterError, ShardUnavailableError
-    from repro.integrity import (
-        IntegrityState,
-        ResultVerifier,
-        TagKeys,
-        membership_tag,
-        record_tag,
-    )
+    from repro.integrity import IntegrityState, ResultVerifier, TagKeys
     from repro.service import ServiceClient
 
     wants_search = args.center is not None or args.radius is not None
@@ -641,22 +640,8 @@ def _cmd_query(args, out) -> int:
             file=out,
         )
     if args.upload is not None:
-        from repro.cloud.messages import UploadDataset, UploadRecord
-
         records = _read_records_file(args.upload)
-        stored = client.upload(
-            UploadDataset(
-                records=tuple(
-                    UploadRecord(
-                        identifier=i,
-                        payload=blob,
-                        tag=record_tag(tag_keys, i, blob),
-                        mtag=membership_tag(tag_keys, i),
-                    )
-                    for i, blob in records
-                )
-            )
-        )
+        stored = client.upload(_tagged_dataset(tag_keys, records))
         print(
             f"uploaded {len(records)} records ({stored} now stored)",
             file=out,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.cloud.codec import decode_ciphertext, decode_token, encode_ciphertext
 from repro.cloud.messages import (
@@ -30,10 +31,9 @@ from repro.cloud.messages import (
     UploadDataset,
 )
 from repro.core.base import CRSEScheme, EncryptedRecord
-from repro.core.crse2 import CRSE2Scheme
 from repro.errors import ProtocolError
 
-__all__ = ["SearchStats", "CloudServer", "PreparedUpload"]
+__all__ = ["SearchStats", "CloudServer", "PreparedUpload", "merge_scans", "scan"]
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,56 @@ class SearchStats:
     sub_token_evaluations: int = 0
     elapsed_ms: float = 0.0
     partitions: tuple[float, ...] = ()
+
+
+def scan(
+    scheme: CRSEScheme,
+    token,
+    records: Iterable[EncryptedRecord],
+    started: float | None = None,
+) -> tuple[list[int], SearchStats]:
+    """The paper's linear scan: one ``Search(TK, C)`` test per record.
+
+    Every search path (the in-process server, the engine's shard workers,
+    ``repro search``) scans through here.  Returns the matching
+    identifiers in record order and the scan's :class:`SearchStats`, a
+    single partition timed from *started* (a ``perf_counter`` instant;
+    default now) — a caller that decodes the token first passes the
+    instant before the decode so the partition time includes it.
+    """
+    if started is None:
+        started = time.perf_counter()
+    stats = SearchStats()
+    identifiers = []
+    for record in records:
+        matched, evaluated = scheme.matches_with_stats(token, record.ciphertext)
+        stats.records_scanned += 1
+        stats.sub_token_evaluations += evaluated
+        if matched:
+            identifiers.append(record.identifier)
+    stats.matches = len(identifiers)
+    stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
+    stats.partitions = (stats.elapsed_ms,)
+    return identifiers, stats
+
+
+def merge_scans(scans) -> tuple[tuple[int, ...], SearchStats]:
+    """Combine the partition scans of one token into one result.
+
+    *scans* holds ``(identifiers, stats)`` per partition.  Identifiers
+    are unioned and sorted, scan counts sum, ``partitions`` concatenates
+    every partition's times, and ``elapsed_ms`` is the slowest partition,
+    since partitions run independently.
+    """
+    identifiers = tuple(sorted({i for ids, _ in scans for i in ids}))
+    stats = SearchStats(
+        records_scanned=sum(s.records_scanned for _, s in scans),
+        matches=len(identifiers),
+        sub_token_evaluations=sum(s.sub_token_evaluations for _, s in scans),
+        elapsed_ms=max((s.elapsed_ms for _, s in scans), default=0.0),
+        partitions=tuple(ms for _, s in scans for ms in s.partitions),
+    )
+    return identifiers, stats
 
 
 @dataclass
@@ -216,39 +266,11 @@ class CloudServer:
         if hasattr(token, "num_sub_tokens"):
             self.log.sub_token_counts.append(token.num_sub_tokens)
 
-    def _scan(
-        self, token, records: list[EncryptedRecord], stats: SearchStats
-    ) -> list[int]:
-        """Linear-scan *records* with *token*, accumulating into *stats*."""
-        identifiers = []
-        for record in records:
-            stats.records_scanned += 1
-            if isinstance(self.scheme, CRSE2Scheme):
-                matched, evaluated = self.scheme.matches_with_stats(
-                    token, record.ciphertext
-                )
-                stats.sub_token_evaluations += evaluated
-            else:
-                matched = self.scheme.matches(token, record.ciphertext)
-                stats.sub_token_evaluations += 1
-            if matched:
-                identifiers.append(record.identifier)
-        return identifiers
-
     def handle_search(self, message: SearchRequest) -> SearchResponse:
-        """Linear-scan search (messages 4 → 5)."""
-        token = decode_token(self.scheme, message.payload)
-        self._record_query_leakage(message, token)
-
-        stats = SearchStats()
-        started = time.perf_counter()
-        identifiers = self._scan(token, self._records, stats)
-        stats.matches = len(identifiers)
-        stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
-        stats.partitions = (stats.elapsed_ms,)
-        self.last_search_stats = stats
-        self.log.access_pattern.append(tuple(identifiers))
-        return SearchResponse(identifiers=tuple(identifiers))
+        """Linear-scan search (messages 4 → 5): :meth:`parallel_search`
+        on a single instance."""
+        response, _ = self.parallel_search(message, 1)
+        return response
 
     def parallel_search(
         self, message: SearchRequest, instances: int
@@ -274,20 +296,12 @@ class CloudServer:
             raise ProtocolError("need at least one instance")
         token = decode_token(self.scheme, message.payload)
         self._record_query_leakage(message, token)
-        partitions: list[list[EncryptedRecord]] = [
-            self._records[i::instances] for i in range(instances)
-        ]
-        stats = SearchStats()
-        identifiers: list[int] = []
-        partition_ms: list[float] = []
-        for partition in partitions:
-            started = time.perf_counter()
-            identifiers.extend(self._scan(token, partition, stats))
-            partition_ms.append((time.perf_counter() - started) * 1000.0)
-        identifiers.sort()
-        stats.matches = len(identifiers)
-        stats.partitions = tuple(partition_ms)
-        stats.elapsed_ms = max(partition_ms)
+        identifiers, stats = merge_scans(
+            [
+                scan(self.scheme, token, self._records[i::instances])
+                for i in range(instances)
+            ]
+        )
         self.last_search_stats = stats
-        self.log.access_pattern.append(tuple(identifiers))
-        return SearchResponse(identifiers=tuple(identifiers)), stats
+        self.log.access_pattern.append(identifiers)
+        return SearchResponse(identifiers=identifiers), stats

@@ -79,6 +79,16 @@ class CRSEScheme(abc.ABC, Generic[KeyT, CiphertextT, TokenT]):
     def matches(self, token: TokenT, ciphertext: CiphertextT) -> bool:
         """The Boolean core of ``Search``: is the point inside the circle?"""
 
+    def matches_with_stats(
+        self, token: TokenT, ciphertext: CiphertextT
+    ) -> tuple[bool, int]:
+        """Like :meth:`matches`, also reporting the evaluations it took.
+
+        One evaluation per record by default; CRSE-II overrides this with
+        its early-exit sub-token count.
+        """
+        return self.matches(token, ciphertext), 1
+
     # ------------------------------------------------------------------
     # Paper-faithful Search and bookkeeping
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 
 from repro.errors import CryptoError
-from repro.math.modular import batch_modinv, is_quadratic_residue, modinv, sqrt_mod
+from repro.math.modular import batch_modinv, modinv, sqrt_mod
 
 __all__ = ["Point", "INFINITY", "SupersingularCurve", "FixedBaseTable"]
 
@@ -367,10 +367,10 @@ class SupersingularCurve:
         q = self.q
         while True:
             x = rng.randrange(q)
-            rhs = (x**3 + x) % q
-            if not is_quadratic_residue(rhs, q):
+            try:
+                y = sqrt_mod((x**3 + x) % q, q)
+            except ValueError:
                 continue
-            y = sqrt_mod(rhs, q)
             if rng.getrandbits(1):
                 y = (-y) % q
             return Point(x, y)
@@ -406,10 +406,12 @@ class SupersingularCurve:
         x = int.from_bytes(data[1:], "big")
         if x >= self.q:
             raise CryptoError("x-coordinate out of field range")
-        rhs = (x**3 + x) % self.q
-        if not is_quadratic_residue(rhs, self.q):
-            raise CryptoError("x-coordinate is not on the curve")
-        y = sqrt_mod(rhs, self.q)
+        try:
+            y = sqrt_mod((x**3 + x) % self.q, self.q)
+        except ValueError:
+            # sqrt_mod's message carries the operands; keep them out of
+            # the typed error.
+            raise CryptoError("x-coordinate is not on the curve") from None
         if y & 1 != tag:
             y = (-y) % self.q
         return Point(x, y)

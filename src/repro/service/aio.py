@@ -38,7 +38,6 @@ Concurrency discipline:
 from __future__ import annotations
 
 import asyncio
-import base64
 import random
 
 from repro.cloud.messages import (
@@ -50,7 +49,6 @@ from repro.cloud.messages import (
 )
 from repro.errors import (
     DeadlineExceededError,
-    IntegrityError,
     ProtocolError,
     ServiceBusyError,
     ServiceConnectionError,
@@ -61,7 +59,11 @@ from repro.service.client import (
     RetryPolicy,
     _error_from_reply,
     _parse_batch_reply,
+    _parse_cluster_reply,
+    _parse_count,
+    _parse_fetch_reply,
     _parse_search_reply,
+    _parse_verified_reply,
 )
 
 __all__ = ["AsyncServiceClient"]
@@ -355,10 +357,7 @@ class AsyncServiceClient:
         fields = await self._request(
             "upload", protocol.upload_fields(dataset), deadline_ms=deadline_ms
         )
-        stored = fields.get("stored")
-        if not isinstance(stored, int):
-            raise WireFormatError("upload reply missing 'stored' count")
-        return stored
+        return _parse_count(fields, "stored", "upload")
 
     async def search(
         self,
@@ -391,14 +390,7 @@ class AsyncServiceClient:
             ),
             deadline_ms=deadline_ms,
         )
-        response, stats = _parse_search_reply(fields)
-        section = protocol.integrity_section_from_fields(fields)
-        if section is None:
-            raise IntegrityError(
-                "verification requested but the reply carries no "
-                "integrity section"
-            )
-        return response, stats, section
+        return _parse_verified_reply(fields)
 
     async def search_batch(
         self,
@@ -425,20 +417,7 @@ class AsyncServiceClient:
             protocol.fetch_fields(FetchRequest(identifiers=identifiers)),
             deadline_ms=deadline_ms,
         )
-        contents = fields.get("contents")
-        if not isinstance(contents, list):
-            raise WireFormatError("fetch reply missing contents")
-        out: dict[int, bytes] = {}
-        for entry in contents:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not isinstance(entry[0], int)
-                or not isinstance(entry[1], str)
-            ):
-                raise WireFormatError("malformed fetch reply entry")
-            out[entry[0]] = base64.b64decode(entry[1].encode("ascii"))
-        return out
+        return _parse_fetch_reply(fields)
 
     async def delete(
         self,
@@ -451,10 +430,7 @@ class AsyncServiceClient:
             protocol.delete_fields(DeleteRequest(identifiers=identifiers)),
             deadline_ms=deadline_ms,
         )
-        removed = fields.get("removed")
-        if not isinstance(removed, int):
-            raise WireFormatError("delete reply missing 'removed' count")
-        return removed
+        return _parse_count(fields, "removed", "delete")
 
     async def health(self, deadline_ms: float | None = None) -> dict:
         """Liveness probe: status, record count, worker count."""
@@ -467,7 +443,6 @@ class AsyncServiceClient:
     async def cluster(self, deadline_ms: float | None = None) -> dict:
         """The coordinator's topology report (replication, replica
         liveness, resync debt); plain shards answer ``PROTOCOL``."""
-        fields = await self._request("cluster", deadline_ms=deadline_ms)
-        if not isinstance(fields.get("partitions"), list):
-            raise WireFormatError("cluster reply missing 'partitions'")
-        return fields
+        return _parse_cluster_reply(
+            await self._request("cluster", deadline_ms=deadline_ms)
+        )

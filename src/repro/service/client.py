@@ -124,6 +124,70 @@ def _parse_batch_reply(
     )
 
 
+def _parse_verified_reply(fields: dict) -> tuple[SearchResponse, dict, dict]:
+    """Extract ``(response, stats, section)`` from a verified search reply.
+
+    Raises:
+        IntegrityError: If the reply carries no integrity section (a
+            proof-stripping server is treated exactly like a tampering
+            one).
+    """
+    response, stats = _parse_search_reply(fields)
+    section = protocol.integrity_section_from_fields(fields)
+    if section is None:
+        raise IntegrityError(
+            "verification requested but the reply carries no "
+            "integrity section"
+        )
+    return response, stats, section
+
+
+def _parse_count(fields: dict, key: str, verb: str) -> int:
+    """The record count an upload (``stored``) or delete (``removed``)
+    reply carries.
+
+    Raises:
+        WireFormatError: If the count is missing or not an int.
+    """
+    count = fields.get(key)
+    if not isinstance(count, int):
+        raise WireFormatError(f"{verb} reply missing {key!r} count")
+    return count
+
+
+def _parse_fetch_reply(fields: dict) -> dict[int, bytes]:
+    """Extract ``{identifier: content}`` from a fetch reply.
+
+    Raises:
+        WireFormatError: On a missing or malformed contents list.
+    """
+    contents = fields.get("contents")
+    if not isinstance(contents, list):
+        raise WireFormatError("fetch reply missing contents")
+    out: dict[int, bytes] = {}
+    for entry in contents:
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 2
+            or not isinstance(entry[0], int)
+            or not isinstance(entry[1], str)
+        ):
+            raise WireFormatError("malformed fetch reply entry")
+        out[entry[0]] = base64.b64decode(entry[1].encode("ascii"))
+    return out
+
+
+def _parse_cluster_reply(fields: dict) -> dict:
+    """Shape-check a coordinator's topology reply.
+
+    Raises:
+        WireFormatError: If the reply carries no partition list.
+    """
+    if not isinstance(fields.get("partitions"), list):
+        raise WireFormatError("cluster reply missing 'partitions'")
+    return fields
+
+
 def _error_from_reply(reply: protocol.Reply) -> Exception:
     """Map a non-BUSY typed error reply onto the exception hierarchy.
 
@@ -415,10 +479,7 @@ class ServiceClient:
         fields = self._request(
             "upload", protocol.upload_fields(dataset), deadline_ms=deadline_ms
         )
-        stored = fields.get("stored")
-        if not isinstance(stored, int):
-            raise WireFormatError("upload reply missing 'stored' count")
-        return stored
+        return _parse_count(fields, "stored", "upload")
 
     def search(
         self,
@@ -440,8 +501,7 @@ class ServiceClient:
             protocol.search_fields(SearchRequest(payload=token_payload)),
             deadline_ms=deadline_ms,
         )
-        response, stats = _parse_search_reply(fields)
-        return response, stats
+        return _parse_search_reply(fields)
 
     def search_verified(
         self,
@@ -473,14 +533,7 @@ class ServiceClient:
             ),
             deadline_ms=deadline_ms,
         )
-        response, stats = _parse_search_reply(fields)
-        section = protocol.integrity_section_from_fields(fields)
-        if section is None:
-            raise IntegrityError(
-                "verification requested but the reply carries no "
-                "integrity section"
-            )
-        return response, stats, section
+        return _parse_verified_reply(fields)
 
     def search_batch(
         self,
@@ -517,20 +570,7 @@ class ServiceClient:
             protocol.fetch_fields(FetchRequest(identifiers=identifiers)),
             deadline_ms=deadline_ms,
         )
-        contents = fields.get("contents")
-        if not isinstance(contents, list):
-            raise WireFormatError("fetch reply missing contents")
-        out: dict[int, bytes] = {}
-        for entry in contents:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not isinstance(entry[0], int)
-                or not isinstance(entry[1], str)
-            ):
-                raise WireFormatError("malformed fetch reply entry")
-            out[entry[0]] = base64.b64decode(entry[1].encode("ascii"))
-        return out
+        return _parse_fetch_reply(fields)
 
     def export(
         self,
@@ -566,10 +606,7 @@ class ServiceClient:
             protocol.delete_fields(DeleteRequest(identifiers=identifiers)),
             deadline_ms=deadline_ms,
         )
-        removed = fields.get("removed")
-        if not isinstance(removed, int):
-            raise WireFormatError("delete reply missing 'removed' count")
-        return removed
+        return _parse_count(fields, "removed", "delete")
 
     def health(self, deadline_ms: float | None = None) -> dict:
         """Liveness probe: status, record count, worker count."""
@@ -586,7 +623,6 @@ class ServiceClient:
         Only coordinators serve this verb; a plain shard answers with a
         typed ``PROTOCOL`` error.
         """
-        fields = self._request("cluster", deadline_ms=deadline_ms)
-        if not isinstance(fields.get("partitions"), list):
-            raise WireFormatError("cluster reply missing 'partitions'")
-        return fields
+        return _parse_cluster_reply(
+            self._request("cluster", deadline_ms=deadline_ms)
+        )

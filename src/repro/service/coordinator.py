@@ -64,6 +64,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.cloud.messages import FetchResponse, UploadDataset, UploadRecord
+from repro.cloud.server import merge_scans
 from repro.errors import (
     DeadlineExceededError,
     ParameterError,
@@ -773,17 +774,11 @@ class Coordinator(FramedServer):
         outcomes = await asyncio.gather(*futures, return_exceptions=True)
         return list(zip(items, outcomes))
 
-    def _remaining_ms(
-        self, request: protocol.Request, started: float
-    ) -> float | None:
-        """The deadline budget left for backend calls, if any."""
+    def _remaining_ms(self, request: protocol.Request) -> float | None:
+        """The deadline budget for backend calls, if any."""
         deadline = self._effective_deadline(request)
-        if deadline is None:
-            return None
-        elapsed = (time.perf_counter() - started) * 1000.0
-        # Never send a non-positive deadline: the coordinator's own
-        # wait_for is about to fire anyway; 1 ms keeps the wire valid.
-        return max(deadline - elapsed, 1.0)
+        # Never send a non-positive deadline: 1 ms keeps the wire valid.
+        return None if deadline is None else max(deadline, 1.0)
 
     def _write_budget_ms(self, request: protocol.Request) -> float | None:
         """Deadline for each write fan-out call, if the caller set one.
@@ -794,7 +789,7 @@ class Coordinator(FramedServer):
         replica that swallowed the write would never be marked dirty
         and the acked sub-batches would never reach the map.
         """
-        remaining = self._remaining_ms(request, time.perf_counter())
+        remaining = self._remaining_ms(request)
         if remaining is None:
             return None
         return max(remaining - 2 * DEADLINE_GRACE_MS, 1.0)
@@ -807,19 +802,26 @@ class Coordinator(FramedServer):
         per-shard failure marker instead of holding the whole scrape
         hostage for the full shard socket timeout.
         """
-        remaining = self._remaining_ms(request, time.perf_counter())
+        remaining = self._remaining_ms(request)
         if remaining is not None:
             return remaining
         return self.config.probe_timeout_s * 1000.0
 
-    def _deadline_at(
-        self, request: protocol.Request, started: float
-    ) -> float | None:
-        """Absolute ``perf_counter`` instant the reply is due, if any."""
-        deadline = self._effective_deadline(request)
-        if deadline is None:
-            return None
-        return started + deadline / 1000.0
+    def _least_loaded(self, records, pids=None) -> dict[str, list[UploadRecord]]:
+        """Place each record on the then least-loaded partition (of *pids*,
+        default all), counting the batch's own placements so one big
+        upload spreads evenly."""
+        counts = {
+            pid: count
+            for pid, count in self.partition_map.partition_counts().items()
+            if pids is None or pid in pids
+        }
+        per_partition: dict[str, list[UploadRecord]] = {}
+        for record in records:
+            pid = min(counts, key=lambda p: (counts[p], p))
+            counts[pid] += 1
+            per_partition.setdefault(pid, []).append(record)
+        return per_partition
 
     @staticmethod
     def _group_by_owner(identifiers, partition_map) -> dict[str, list[int]]:
@@ -831,28 +833,9 @@ class Coordinator(FramedServer):
             grouped.setdefault(pid, []).append(identifier)
         return grouped
 
-    @staticmethod
-    def _rows_to_records(rows) -> tuple[UploadRecord, ...]:
-        records = []
-        for row in rows:
-            records.append(
-                UploadRecord(
-                    identifier=row[0],
-                    payload=row[1],
-                    content=row[2],
-                    tag=row[3] if len(row) > 3 else b"",
-                    mtag=row[4] if len(row) > 4 else b"",
-                )
-            )
-        return tuple(records)
-
     # ------------------------------------------------------------------
     # Replica liveness, load, and failover
     # ------------------------------------------------------------------
-    def _mark_down(self, addr: str) -> None:
-        with self._state_lock:
-            self._down.add(addr)
-
     def _mark_up(self, addr: str) -> None:
         with self._state_lock:
             self._down.discard(addr)
@@ -864,7 +847,8 @@ class Coordinator(FramedServer):
         everywhere) leave liveness alone.
         """
         if isinstance(exc, (ServiceConnectionError, DeadlineExceededError)):
-            self._mark_down(addr)
+            with self._state_lock:
+                self._down.add(addr)
 
     def _replica_order(self, pid: str) -> list[str]:
         """Replicas of *pid* able to serve a read, best first.
@@ -881,20 +865,17 @@ class Coordinator(FramedServer):
                 for addr in self.partition_map.replicas(pid)
                 if not self.partition_map.stale.get(addr)
             ]
-        live = sorted(
-            (a for a in clean if a not in down),
-            key=lambda a: (loads.get(a, 0), a),
-        )
-        suspect = sorted(
-            (a for a in clean if a in down),
-            key=lambda a: (loads.get(a, 0), a),
-        )
-        return live + suspect
+        return sorted(clean, key=lambda a: (a in down, loads.get(a, 0), a))
+
+    @staticmethod
+    def _failure_report(addr: str, pid: str, exc) -> dict:
+        """The shard report for a replica that failed or was skipped."""
+        return {"addr": addr, "partition": pid, "ok": False, "error": str(exc)}
 
     def _with_failover(self, pid: str, attempt, deadline_at):
         """Try *attempt* on each serviceable replica of *pid* in turn.
 
-        Runs in a fan-out pool thread.  ``attempt(client, addr,
+        Runs in a fan-out pool thread.  ``attempt(client, pid,
         budget_ms)`` is called with the remaining deadline split across
         the untried replicas, so a stalled first replica cannot eat a
         sibling's chance to answer inside the caller's original budget.
@@ -904,18 +885,12 @@ class Coordinator(FramedServer):
         attempt.
         """
         order = self._replica_order(pid)
-        reports: list[dict] = []
         if not order:
-            for addr in self.partition_map.replicas(pid):
-                reports.append(
-                    {
-                        "addr": addr,
-                        "partition": pid,
-                        "ok": False,
-                        "error": "replica awaiting re-replication",
-                    }
-                )
-            return None, None, reports
+            return None, None, [
+                self._failure_report(addr, pid, "replica awaiting re-replication")
+                for addr in self.partition_map.replicas(pid)
+            ]
+        reports: list[dict] = []
         for index, addr in enumerate(order):
             budget = None
             if deadline_at is not None:
@@ -924,16 +899,9 @@ class Coordinator(FramedServer):
             with self._state_lock:
                 self._loads[addr] = self._loads.get(addr, 0) + 1
             try:
-                result = attempt(self._client(self._by_addr[addr]), addr, budget)
+                result = attempt(self._client(self._by_addr[addr]), pid, budget)
             except ReproError as exc:
-                reports.append(
-                    {
-                        "addr": addr,
-                        "partition": pid,
-                        "ok": False,
-                        "error": str(exc),
-                    }
-                )
+                reports.append(self._failure_report(addr, pid, exc))
                 self._note_failure(addr, exc)
                 continue
             finally:
@@ -943,25 +911,150 @@ class Coordinator(FramedServer):
             return addr, result, reports
         return None, None, reports
 
-    def _write_targets(self, pids):
-        """Split each partition's replicas into write targets and skips.
+    async def _read_partitions(self, pids, attempt, request: protocol.Request):
+        """Failover read of every partition in *pids*, concurrently.
 
-        Down or dirty replicas are skipped (and later marked dirty by
-        the caller so repair copies the write); everyone else gets the
-        fan-out.  Returns ``(targets, skipped)`` where targets is a list
-        of ``(pid, addr)`` and skipped maps pid → [addr].
+        ``attempt(client, pid, budget_ms)`` runs on a fan-out pool thread
+        against one replica at a time (see :meth:`_with_failover`).
+        Returns ``(served, reports, lost)``: *served* lists ``(report,
+        result)`` for each partition a replica answered, in *pids* order,
+        where *report* is that partition's ``ok`` entry of *reports*
+        (callers add detail keys to it); *lost* lists the partitions no
+        replica answered.
+        """
+        deadline = self._effective_deadline(request)
+        deadline_at = (
+            None if deadline is None else time.perf_counter() + deadline / 1000.0
+        )
+        outcomes = await self._fan_out(
+            pids, lambda pid: self._with_failover(pid, attempt, deadline_at)
+        )
+        served: list[tuple[dict, object]] = []
+        reports: list[dict] = []
+        lost: list[str] = []
+        for pid, outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                reports.extend(
+                    self._failure_report(addr, pid, outcome)
+                    for addr in self.partition_map.replicas(pid)
+                )
+                lost.append(pid)
+                continue
+            addr, result, attempt_reports = outcome
+            reports.extend(attempt_reports)
+            if addr is None:
+                lost.append(pid)
+                continue
+            report = {"addr": addr, "partition": pid, "ok": True}
+            reports.append(report)
+            served.append((report, result))
+        return served, reports, lost
+
+    def _merged_searches(self, verb: str, replies, reports, lost):
+        """Merge per-partition search replies token by token.
+
+        *replies* holds, per answering partition, one ``(response,
+        stats)`` pair per token; a single search is token 0 of a batch of
+        one.  Returns one ``(identifiers, stats_fields)`` per token.
+
+        Raises:
+            ShardUnavailableError: If a partition is *lost*, carrying the
+                union of every token's matches from the partitions that
+                answered.
+        """
+        results = [
+            merge_scans(
+                [
+                    (response.identifiers, protocol.search_stats_from_fields(stats))
+                    for response, stats in token_replies
+                ]
+            )
+            for token_replies in zip(*replies)
+        ]
+        if lost:
+            raise self._lost_shards_error(
+                verb,
+                lost,
+                reports,
+                partial_identifiers=sorted(
+                    {i for identifiers, _ in results for i in identifiers}
+                ),
+                suffix=(
+                    f"; partial results cover {len(replies)} of "
+                    f"{len(replies) + len(lost)} shards"
+                ),
+            )
+        return [
+            (list(identifiers), protocol.search_stats_fields(stats))
+            for identifiers, stats in results
+        ]
+
+    async def _write_partitions(self, ids_by_pid, send, apply):
+        """Replicated write of each partition's ids to its live replicas.
+
+        ``send(client, pid)`` runs on a fan-out pool thread per replica
+        and returns the detail keys of that replica's ``ok`` report.
+        Down or dirty replicas are skipped.  Under ``_state_lock``, every
+        partition at least one replica acked gets ``apply(pid, ids)`` (its
+        map change), and each replica that failed or was skipped is marked
+        dirty for those ids so :meth:`repair` copies the write before it
+        serves reads again; a partition no replica acked is *lost* and its
+        map entries stay as they were.
+
+        The map is persisted before this returns, recording exactly what
+        was acked: a crash right after leaves a map describing records at
+        least one replica really holds (including which siblings still
+        owe the copy).  The fsync must not stall concurrent searches, so
+        it runs off-loop.
+
+        Returns:
+            ``(acked, reports, lost)`` where *acked* maps each acked
+            partition to the detail dicts of its acking replicas.
         """
         targets: list[tuple[str, str]] = []
         skipped: dict[str, list[str]] = {}
         with self._state_lock:
             down = set(self._down)
-        for pid in pids:
+        for pid in sorted(ids_by_pid):
             for addr in self.partition_map.replicas(pid):
                 if addr in down or self.partition_map.stale.get(addr):
                     skipped.setdefault(pid, []).append(addr)
                 else:
                     targets.append((pid, addr))
-        return targets, skipped
+
+        def push(target):
+            pid, addr = target
+            return send(self._client(self._by_addr[addr]), pid)
+
+        outcomes = await self._fan_out(targets, push)
+        acked: dict[str, list[dict]] = {}
+        failed: dict[str, list[str]] = {}
+        reports: list[dict] = []
+        for (pid, addr), outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                reports.append(self._failure_report(addr, pid, outcome))
+                failed.setdefault(pid, []).append(addr)
+                self._note_failure(addr, outcome)
+                continue
+            reports.append({"addr": addr, "partition": pid, "ok": True, **outcome})
+            acked.setdefault(pid, []).append(outcome)
+        lost: list[str] = []
+        with self._state_lock:
+            for pid, ids in sorted(ids_by_pid.items()):
+                if pid not in acked:
+                    lost.append(pid)
+                    reports.extend(
+                        self._failure_report(
+                            addr, pid, "replica down or awaiting re-replication"
+                        )
+                        for addr in skipped.get(pid, [])
+                    )
+                    continue
+                apply(pid, ids)
+                for addr in failed.get(pid, []) + skipped.get(pid, []):
+                    self.partition_map.mark_dirty(addr, ids)
+        await self._offload(self._persist_map)
+        return acked, reports, lost
 
     # ------------------------------------------------------------------
     # Verb handlers
@@ -1003,196 +1096,57 @@ class Coordinator(FramedServer):
     async def _do_search(self, request: protocol.Request) -> dict:
         message = protocol.search_from_fields(request.fields)
         verify = protocol.search_wants_verify(request.fields)
-        started = time.perf_counter()
-        deadline_at = self._deadline_at(request, started)
-        pids = self._partition_ids()
 
-        def ask(pid: str):
-            def attempt(client, addr, budget_ms):
-                if verify:
-                    return client.search_verified(
-                        message.payload, deadline_ms=budget_ms
-                    )
-                return client.search(message.payload, deadline_ms=budget_ms)
-
-            return self._with_failover(pid, attempt, deadline_at)
-
-        outcomes = await self._fan_out(pids, ask)
-        merged: set[int] = set()
-        reports: list[dict] = []
-        lost: list[str] = []
-        records_scanned = 0
-        sub_token_evaluations = 0
-        elapsed_ms = 0.0
-        partitions: list[float] = []
-        integrity_matches: list[list] = []
-        integrity_shards: list[dict] = []
-        for pid, outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                for addr in self.partition_map.replicas(pid):
-                    reports.append(
-                        {
-                            "addr": addr,
-                            "partition": pid,
-                            "ok": False,
-                            "error": str(outcome),
-                        }
-                    )
-                lost.append(pid)
-                continue
-            addr, result, attempt_reports = outcome
-            reports.extend(attempt_reports)
-            if addr is None:
-                lost.append(pid)
-                continue
+        def attempt(client, pid, budget_ms):
             if verify:
-                response, stats, section = result
-                # Matches gain a fourth element — an index into the
-                # merged shard-proof list — so the verifier can pair
-                # each match with the replica that attested it.
-                index = len(integrity_shards)
-                for entry in section["matches"]:
-                    integrity_matches.append([*entry[:3], index])
-                proof = dict(section["shards"][0])
-                proof["addr"] = addr
-                integrity_shards.append(proof)
-            else:
-                response, stats = result
-            merged.update(response.identifiers)
-            reports.append(
-                {
-                    "addr": addr,
-                    "partition": pid,
-                    "ok": True,
-                    "records": len(response.identifiers),
-                    "stats": stats,
-                }
-            )
-            records_scanned += int(stats.get("records_scanned", 0))
-            sub_token_evaluations += int(
-                stats.get("sub_token_evaluations", 0)
-            )
-            elapsed_ms = max(elapsed_ms, float(stats.get("elapsed_ms", 0.0)))
-            shard_partitions = stats.get("partitions")
-            if isinstance(shard_partitions, list):
-                partitions.extend(float(ms) for ms in shard_partitions)
-        identifiers = sorted(merged)
-        if lost:
-            raise self._lost_shards_error(
-                "search",
-                lost,
-                reports,
-                partial_identifiers=identifiers,
-                suffix=(
-                    f"; partial results cover {len(pids) - len(lost)} of "
-                    f"{len(pids)} shards"
-                ),
-            )
+                return client.search_verified(
+                    message.payload, deadline_ms=budget_ms
+                )
+            return client.search(message.payload, deadline_ms=budget_ms)
+
+        served, reports, lost = await self._read_partitions(
+            self._partition_ids(), attempt, request
+        )
+        for report, (response, stats, *_) in served:
+            report.update(records=len(response.identifiers), stats=stats)
+        ((identifiers, stats),) = self._merged_searches(
+            "search", [[result[:2]] for _, result in served], reports, lost
+        )
         fields = {
             "identifiers": identifiers,
-            "stats": {
-                "records_scanned": records_scanned,
-                "matches": len(identifiers),
-                "sub_token_evaluations": sub_token_evaluations,
-                "elapsed_ms": elapsed_ms,
-                "partitions": partitions,
-            },
+            "stats": stats,
             **protocol.shard_reports_fields(reports),
         }
         if verify:
-            fields.update(
-                protocol.integrity_section_fields(
-                    integrity_matches, integrity_shards
+            # Matches gain a fourth element — an index into the merged
+            # shard-proof list — so the verifier can pair each match with
+            # the replica that attested it.
+            matches: list[list] = []
+            proofs: list[dict] = []
+            for report, (_, _, section) in served:
+                matches.extend(
+                    [*entry[:3], len(proofs)] for entry in section["matches"]
                 )
-            )
+                proofs.append({**section["shards"][0], "addr": report["addr"]})
+            fields.update(protocol.integrity_section_fields(matches, proofs))
         return fields
 
     async def _do_search_batch(self, request: protocol.Request) -> dict:
         payloads = protocol.search_batch_from_fields(request.fields)
-        started = time.perf_counter()
-        deadline_at = self._deadline_at(request, started)
-        pids = self._partition_ids()
 
-        def ask(pid: str):
-            def attempt(client, addr, budget_ms):
-                return client.search_batch(payloads, deadline_ms=budget_ms)
+        def attempt(client, pid, budget_ms):
+            return client.search_batch(payloads, deadline_ms=budget_ms)
 
-            return self._with_failover(pid, attempt, deadline_at)
-
-        outcomes = await self._fan_out(pids, ask)
-        merged: list[set[int]] = [set() for _ in payloads]
-        aggregates: list[dict] = [
-            {
-                "records_scanned": 0,
-                "sub_token_evaluations": 0,
-                "elapsed_ms": 0.0,
-                "partitions": [],
-            }
-            for _ in payloads
-        ]
-        reports: list[dict] = []
-        lost: list[str] = []
-        for pid, outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                for addr in self.partition_map.replicas(pid):
-                    reports.append(
-                        {
-                            "addr": addr,
-                            "partition": pid,
-                            "ok": False,
-                            "error": str(outcome),
-                        }
-                    )
-                lost.append(pid)
-                continue
-            addr, result, attempt_reports = outcome
-            reports.extend(attempt_reports)
-            if addr is None:
-                lost.append(pid)
-                continue
-            matched = 0
-            for index, (response, stats) in enumerate(result):
-                merged[index].update(response.identifiers)
-                matched += len(response.identifiers)
-                aggregate = aggregates[index]
-                aggregate["records_scanned"] += int(
-                    stats.get("records_scanned", 0)
-                )
-                aggregate["sub_token_evaluations"] += int(
-                    stats.get("sub_token_evaluations", 0)
-                )
-                aggregate["elapsed_ms"] = max(
-                    aggregate["elapsed_ms"],
-                    float(stats.get("elapsed_ms", 0.0)),
-                )
-                shard_partitions = stats.get("partitions")
-                if isinstance(shard_partitions, list):
-                    aggregate["partitions"].extend(
-                        float(ms) for ms in shard_partitions
-                    )
-            reports.append(
-                {"addr": addr, "partition": pid, "ok": True, "records": matched}
+        served, reports, lost = await self._read_partitions(
+            self._partition_ids(), attempt, request
+        )
+        for report, replies in served:
+            report["records"] = sum(
+                len(response.identifiers) for response, _ in replies
             )
-        if lost:
-            partial: set[int] = set()
-            for matches in merged:
-                partial.update(matches)
-            raise self._lost_shards_error(
-                "batch search",
-                lost,
-                reports,
-                partial_identifiers=sorted(partial),
-                suffix=(
-                    f"; partial results cover {len(pids) - len(lost)} of "
-                    f"{len(pids)} shards"
-                ),
-            )
-        results = []
-        for index, matches in enumerate(merged):
-            identifiers = tuple(sorted(matches))
-            stats = aggregates[index]
-            stats["matches"] = len(identifiers)
-            results.append((identifiers, stats))
+        results = self._merged_searches(
+            "batch search", [replies for _, replies in served], reports, lost
+        )
         return {
             **protocol.batch_results_fields(results),
             **protocol.shard_reports_fields(reports),
@@ -1210,86 +1164,37 @@ class Coordinator(FramedServer):
                     f"duplicate record identifier {record.identifier}"
                 )
             seen.add(record.identifier)
-        # Assign each record to the currently least-loaded partition,
-        # counting this batch's own assignments so one big upload spreads
-        # evenly; the sub-batch then fans out to every live replica.
-        counts = self.partition_map.partition_counts()
-        per_partition: dict[str, list[UploadRecord]] = {}
-        for record in message.records:
-            pid = min(counts, key=lambda p: (counts[p], p))
-            counts[pid] += 1
-            per_partition.setdefault(pid, []).append(record)
-        targets, skipped = self._write_targets(sorted(per_partition))
+        # Each sub-batch fans out to every live replica of its partition.
+        per_partition = self._least_loaded(message.records)
 
-        def push(target):
-            pid, addr = target
-            return self._client(self._by_addr[addr]).upload(
-                UploadDataset(records=tuple(per_partition[pid])),
-                deadline_ms=budget,
-            )
+        def send(client, pid):
+            batch = per_partition[pid]
+            client.upload(UploadDataset(records=tuple(batch)), deadline_ms=budget)
+            return {"stored": len(batch)}
 
-        outcomes = await self._fan_out(targets, push)
-        acked: dict[str, list[str]] = {}
-        failed: dict[str, list[str]] = {}
-        reports: list[dict] = []
-        for (pid, addr), outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                reports.append(
-                    {
-                        "addr": addr,
-                        "partition": pid,
-                        "ok": False,
-                        "error": str(outcome),
-                    }
-                )
-                failed.setdefault(pid, []).append(addr)
-                self._note_failure(addr, outcome)
-                continue
-            reports.append(
-                {
-                    "addr": addr,
-                    "partition": pid,
-                    "ok": True,
-                    "stored": len(per_partition[pid]),
-                }
-            )
-            acked.setdefault(pid, []).append(addr)
-        stored_ids: list[int] = []
-        lost: list[str] = []
-        with self._state_lock:
-            for pid, batch in sorted(per_partition.items()):
-                ids = [record.identifier for record in batch]
-                if not acked.get(pid):
-                    lost.append(pid)
-                    for addr in skipped.get(pid, []):
-                        reports.append(
-                            {
-                                "addr": addr,
-                                "partition": pid,
-                                "ok": False,
-                                "error": "replica down or awaiting "
-                                "re-replication",
-                            }
-                        )
-                    continue
-                for identifier in ids:
-                    self.partition_map.assignments[identifier] = pid
-                stored_ids.extend(ids)
-                # Replicas that missed the write owe a resync before
-                # they may serve reads again.
-                for addr in failed.get(pid, []) + skipped.get(pid, []):
-                    self.partition_map.mark_dirty(addr, ids)
-        # Persist exactly what was acked — a crash right here leaves a map
-        # describing records at least one replica really holds (including
-        # which siblings still owe the copy).  The fsync must not stall
-        # concurrent searches, so it runs off-loop.
-        await self._offload(self._persist_map)
+        def assign(pid, ids):
+            for identifier in ids:
+                self.partition_map.assignments[identifier] = pid
+
+        acked, reports, lost = await self._write_partitions(
+            {
+                pid: [record.identifier for record in batch]
+                for pid, batch in per_partition.items()
+            },
+            send,
+            assign,
+        )
         if lost:
+            stored_ids = sorted(
+                record.identifier
+                for pid in acked
+                for record in per_partition[pid]
+            )
             raise self._lost_shards_error(
                 "upload",
                 lost,
                 reports,
-                partial_identifiers=sorted(stored_ids),
+                partial_identifiers=stored_ids,
                 suffix=(
                     f"; {len(stored_ids)} of {len(message.records)} "
                     "records were stored"
@@ -1304,65 +1209,29 @@ class Coordinator(FramedServer):
         message = protocol.delete_from_fields(request.fields)
         budget = self._write_budget_ms(request)
         grouped = self._group_by_owner(message.identifiers, self.partition_map)
-        targets, skipped = self._write_targets(sorted(grouped))
 
-        def drop(target):
-            pid, addr = target
-            return self._client(self._by_addr[addr]).delete(
-                tuple(grouped[pid]), deadline_ms=budget
-            )
+        def send(client, pid):
+            removed = client.delete(tuple(grouped[pid]), deadline_ms=budget)
+            return {"removed": removed}
 
-        outcomes = await self._fan_out(targets, drop)
-        acked: dict[str, list[int]] = {}
-        failed: dict[str, list[str]] = {}
-        reports: list[dict] = []
-        for (pid, addr), outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                reports.append(
-                    {
-                        "addr": addr,
-                        "partition": pid,
-                        "ok": False,
-                        "error": str(outcome),
-                    }
-                )
-                failed.setdefault(pid, []).append(addr)
-                self._note_failure(addr, outcome)
-                continue
-            reports.append(
-                {
-                    "addr": addr,
-                    "partition": pid,
-                    "ok": True,
-                    "removed": outcome,
-                }
-            )
-            acked.setdefault(pid, []).append(outcome)
-        removed = 0
-        lost: list[str] = []
-        with self._state_lock:
-            for pid in sorted(grouped):
-                ids = grouped[pid]
-                if not acked.get(pid):
-                    lost.append(pid)
-                    continue
-                removed += max(acked[pid])
-                for identifier in ids:
-                    self.partition_map.assignments.pop(identifier, None)
-                for addr in failed.get(pid, []) + skipped.get(pid, []):
-                    self.partition_map.mark_dirty(addr, ids)
-        await self._offload(self._persist_map)
+        def unassign(pid, ids):
+            for identifier in ids:
+                self.partition_map.assignments.pop(identifier, None)
+
+        acked, reports, lost = await self._write_partitions(
+            grouped, send, unassign
+        )
         if lost:
             raise self._lost_shards_error("delete", lost, reports)
         return {
-            "removed": removed,
+            "removed": sum(
+                max(ack["removed"] for ack in acks) for acks in acked.values()
+            ),
             **protocol.shard_reports_fields(reports),
         }
 
     async def _do_fetch(self, request: protocol.Request) -> dict:
         message = protocol.fetch_from_fields(request.fields)
-        started = time.perf_counter()
-        deadline_at = self._deadline_at(request, started)
         wants_payloads = protocol.fetch_wants_payloads(request.fields)
         for identifier in message.identifiers:
             if self.partition_map.owner(identifier) is None:
@@ -1371,40 +1240,24 @@ class Coordinator(FramedServer):
                 )
         grouped = self._group_by_owner(message.identifiers, self.partition_map)
 
-        def pull(pid: str):
+        def attempt(client, pid, budget_ms):
             wanted = tuple(grouped[pid])
+            if wants_payloads:
+                return client.export(wanted, deadline_ms=budget_ms)
+            return client.fetch(wanted, deadline_ms=budget_ms)
 
-            def attempt(client, addr, budget_ms):
-                if wants_payloads:
-                    return client.export(wanted, deadline_ms=budget_ms)
-                return client.fetch(wanted, deadline_ms=budget_ms)
-
-            return self._with_failover(pid, attempt, deadline_at)
-
-        outcomes = await self._fan_out(sorted(grouped), pull)
-        lost: list[str] = []
-        reports: list[dict] = []
-        results = []
-        for pid, outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                lost.append(pid)
-                continue
-            addr, result, attempt_reports = outcome
-            reports.extend(attempt_reports)
-            if addr is None:
-                lost.append(pid)
-                continue
-            reports.append({"addr": addr, "partition": pid, "ok": True})
-            results.append(result)
+        served, reports, lost = await self._read_partitions(
+            sorted(grouped), attempt, request
+        )
         if lost:
             raise self._lost_shards_error("fetch", lost, reports)
         if wants_payloads:
-            by_id = {row[0]: row for rows in results for row in rows}
+            by_id = {row[0]: row for _, rows in served for row in rows}
             return protocol.export_rows_fields(
                 [by_id[i] for i in message.identifiers]
             )
         contents: dict[int, bytes] = {}
-        for result in results:
+        for _, result in served:
             contents.update(result)
         return protocol.fetch_response_fields(
             FetchResponse(
@@ -1414,42 +1267,43 @@ class Coordinator(FramedServer):
             )
         )
 
-    async def _do_health(self, request: protocol.Request) -> dict:
-        budget = self._probe_budget_ms(request)
+    async def _probe_replicas(self, probe):
+        """Run ``probe(client)`` on every replica concurrently.
 
-        def probe(spec: ShardSpec):
-            return self._client(spec).health(deadline_ms=budget)
-
-        outcomes = await self._fan_out(self.shards, probe)
-        reports: list[dict] = []
-        healthy = 0
-        healthy_pids: set[str] = set()
+        Returns ``(report, outcome)`` per replica in configured order:
+        a replica that failed is noted down and gets a failure report;
+        the others get an ``ok`` report their caller adds detail keys to.
+        """
+        outcomes = await self._fan_out(
+            self.shards, lambda spec: probe(self._client(spec))
+        )
+        probed = []
         for spec, outcome in outcomes:
             pid = self.partition_map.partition_of(spec.addr) or ""
             if isinstance(outcome, BaseException):
                 self._note_failure(spec.addr, outcome)
-                reports.append(
-                    {
-                        "addr": spec.addr,
-                        "partition": pid,
-                        "ok": False,
-                        "error": str(outcome),
-                    }
-                )
+                report = self._failure_report(spec.addr, pid, outcome)
+            else:
+                report = {"addr": spec.addr, "partition": pid, "ok": True}
+            probed.append((report, outcome))
+        return probed
+
+    async def _do_health(self, request: protocol.Request) -> dict:
+        budget = self._probe_budget_ms(request)
+        probed = await self._probe_replicas(
+            lambda client: client.health(deadline_ms=budget)
+        )
+        healthy = 0
+        healthy_pids: set[str] = set()
+        for report, outcome in probed:
+            if not report["ok"]:
                 continue
-            self._mark_up(spec.addr)
+            self._mark_up(report["addr"])
             healthy += 1
-            if not self.partition_map.stale.get(spec.addr):
-                healthy_pids.add(pid)
-            reports.append(
-                {
-                    "addr": spec.addr,
-                    "partition": pid,
-                    "ok": True,
-                    "status": str(outcome.get("status", "")),
-                    "records": int(outcome.get("records", 0)),
-                }
-            )
+            if not self.partition_map.stale.get(report["addr"]):
+                healthy_pids.add(report["partition"])
+            report["status"] = str(outcome.get("status", ""))
+            report["records"] = int(outcome.get("records", 0))
         return {
             "status": "ok" if healthy == len(self.shards) else "degraded",
             "coordinator": True,
@@ -1459,52 +1313,27 @@ class Coordinator(FramedServer):
             "replication": self.replication,
             "partitions_available": len(healthy_pids),
             "partitions_total": len(self.partition_map.partitions),
-            **protocol.shard_reports_fields(reports),
+            **protocol.shard_reports_fields(report for report, _ in probed),
         }
 
     async def _do_stats(self, request: protocol.Request) -> dict:
         budget = self._probe_budget_ms(request)
-
-        def probe(spec: ShardSpec):
-            return self._client(spec).stats(deadline_ms=budget)
-
-        outcomes = await self._fan_out(self.shards, probe)
-        reports = []
-        for spec, outcome in outcomes:
-            pid = self.partition_map.partition_of(spec.addr) or ""
-            if isinstance(outcome, BaseException):
-                # Degrade, never raise: a shard dying mid-scrape turns
-                # into an explicit per-shard marker, and the aggregate
-                # below covers whoever still answered.
-                self._note_failure(spec.addr, outcome)
-                reports.append(
-                    {
-                        "addr": spec.addr,
-                        "partition": pid,
-                        "ok": False,
-                        "unreachable": True,
-                        "error": str(outcome),
-                    }
-                )
+        probed = await self._probe_replicas(
+            lambda client: client.stats(deadline_ms=budget)
+        )
+        reports = [report for report, _ in probed]
+        for report, outcome in probed:
+            # Degrade, never raise: a shard dying mid-scrape turns into an
+            # explicit per-shard marker, and the aggregate below covers
+            # whoever still answered.
+            if report["ok"]:
+                report["stats"] = outcome
             else:
-                reports.append(
-                    {
-                        "addr": spec.addr,
-                        "partition": pid,
-                        "ok": True,
-                        "stats": outcome,
-                    }
-                )
+                report["unreachable"] = True
         snapshot = self.metrics.snapshot()
         snapshot["records"] = self.partition_map.record_count
         snapshot.update(self._saturation_fields())
-        with self._state_lock:
-            down = sorted(self._down)
-            stale = {
-                addr: len(ids)
-                for addr, ids in sorted(self.partition_map.stale.items())
-                if ids
-            }
+        down, stale = self._resync_debt()
         snapshot["partition"] = {
             "counts": self.partition_map.counts(),
             "partitions": self.partition_map.partition_counts(),
@@ -1543,12 +1372,7 @@ class Coordinator(FramedServer):
 
     async def _do_cluster(self, request: protocol.Request) -> dict:
         """Topology report: partitions, replicas, liveness, resync debt."""
-        with self._state_lock:
-            down = set(self._down)
-            stale = {
-                addr: len(ids)
-                for addr, ids in self.partition_map.stale.items()
-            }
+        down, stale = self._resync_debt()
         counts = self.partition_map.partition_counts()
         partitions = []
         for pid in self._partition_ids():
@@ -1572,6 +1396,15 @@ class Coordinator(FramedServer):
             "shards_total": len(self.shards),
             "partitions": partitions,
         }
+
+    def _resync_debt(self) -> tuple[list[str], dict[str, int]]:
+        """Down-marked replicas, and the record count each dirty one owes."""
+        with self._state_lock:
+            return sorted(self._down), {
+                addr: len(ids)
+                for addr, ids in sorted(self.partition_map.stale.items())
+                if ids
+            }
 
     def _aggregate_integrity(self, reports) -> dict | None:
         """Fold per-shard integrity stats into one cluster-wide view.
@@ -1678,28 +1511,13 @@ class Coordinator(FramedServer):
             )
             rows = ()
             if canonical:
-                rows = None
-                for source in self._replica_order(pid):
-                    if source == addr:
-                        continue
-                    try:
-                        rows = self._client(self._by_addr[source]).export(
-                            tuple(canonical)
-                        )
-                        break
-                    except ReproError as exc:
-                        self._note_failure(source, exc)
-                if rows is None:
+                siblings = [s for s in self._replica_order(pid) if s != addr]
+                try:
+                    rows = self._export_from_any(siblings, canonical)
+                except ShardUnavailableError:
                     continue
-            target = self._client(self._by_addr[addr])
-            try:
-                target.delete(tuple(sorted(dirty)))
-                if rows:
-                    target.upload(
-                        UploadDataset(records=self._rows_to_records(rows))
-                    )
-            except ReproError as exc:
-                self._note_failure(addr, exc)
+            records = [UploadRecord(*row) for row in rows]
+            if self._overwrite(addr, sorted(dirty), records) is not None:
                 continue
             with self._state_lock:
                 self.partition_map.clear_dirty(addr, dirty)
@@ -1787,29 +1605,12 @@ class Coordinator(FramedServer):
         for pid in departed:
             doomed = self.partition_map.ids_in(pid)
             replicas = self.partition_map.replicas(pid)
-            rows = None
-            last_error: ReproError | None = None
+            self._migrate_rows(self._export_from_any(replicas, doomed))
             for addr in replicas:
-                try:
-                    rows = self._client(ShardSpec.parse(addr)).export(doomed)
-                    break
-                except ReproError as exc:
-                    last_error = exc
-            if rows is None:
-                raise ShardUnavailableError(
-                    f"departed partition {pid} ({', '.join(replicas)}) is "
-                    f"unreachable; {len(doomed)} records cannot be "
-                    f"migrated: {last_error}"
-                )
-            self._migrate_rows(rows)
-            for addr in replicas:
-                try:
-                    self._client(ShardSpec.parse(addr)).delete(doomed)
-                except ReproError:
-                    # The receivers acked and the map is persisted; a
-                    # stale copy on a shard that is leaving the cluster
-                    # is garbage, not a correctness problem.
-                    pass
+                # The receivers acked and the map is persisted; a stale
+                # copy left on a shard that is leaving the cluster is
+                # garbage, not a correctness problem.
+                self._overwrite(addr, doomed)
             self.partition_map.remove_partition(pid)
             self._persist_map()
             moved[pid] = len(doomed)
@@ -1841,28 +1642,55 @@ class Coordinator(FramedServer):
             chunk = self.partition_map.ids_in(donor)[
                 : max(1, min(batch_size, surplus))
             ]
-            rows = None
-            for source in self._replica_order(donor):
-                try:
-                    rows = self._client(self._by_addr[source]).export(chunk)
-                    break
-                except ReproError as exc:
-                    self._note_failure(source, exc)
-            if rows is None:
-                raise ShardUnavailableError(
-                    f"partition {donor} has no reachable replica to "
-                    "rebalance from"
-                )
-            self._migrate_rows(rows, to_pid=receiver)
+            self._migrate_rows(
+                self._export_from_any(self._replica_order(donor), chunk),
+                to_pid=receiver,
+            )
             for addr in self.partition_map.replicas(donor):
-                try:
-                    self._client(self._by_addr[addr]).delete(chunk)
-                except ReproError as exc:
-                    self._note_failure(addr, exc)
+                if self._overwrite(addr, chunk) is not None:
                     with self._state_lock:
                         self.partition_map.mark_dirty(addr, chunk)
             self._persist_map()
             moved += len(chunk)
+
+    def _spec(self, addr: str) -> ShardSpec:
+        # Replicas of a departed partition are not in the configured set.
+        return self._by_addr.get(addr) or ShardSpec.parse(addr)
+
+    def _export_from_any(self, addrs, identifiers):
+        """Export *identifiers* (payload-bearing fetch) from the first of
+        *addrs* that answers.
+
+        Raises:
+            ShardUnavailableError: If none of *addrs* answers.
+        """
+        last_error: ReproError | None = None
+        for addr in addrs:
+            try:
+                return self._client(self._spec(addr)).export(tuple(identifiers))
+            except ReproError as exc:
+                last_error = exc
+                self._note_failure(addr, exc)
+        raise ShardUnavailableError(
+            f"no replica of {', '.join(addrs) or 'the partition'} could "
+            f"export {len(identifiers)} records: {last_error}"
+        )
+
+    def _overwrite(self, addr: str, doomed, records=()) -> ReproError | None:
+        """Delete *doomed* from replica *addr*, then upload *records*.
+
+        Returns the error that stopped it (the replica is noted down), or
+        ``None`` once both steps were acked.
+        """
+        client = self._client(self._spec(addr))
+        try:
+            client.delete(tuple(doomed))
+            if records:
+                client.upload(UploadDataset(records=tuple(records)))
+        except ReproError as exc:
+            self._note_failure(addr, exc)
+            return exc
+        return None
 
     def _migrate_rows(self, rows, to_pid: str | None = None) -> None:
         """Upload exported *rows* to configured partitions, all replicas.
@@ -1872,29 +1700,22 @@ class Coordinator(FramedServer):
         a replica that misses the copy is marked dirty.  The map is
         persisted once every batch found at least one ack.
         """
-        counts = {
-            pid: count
-            for pid, count in self.partition_map.partition_counts().items()
-            if pid in self._configured
-        }
-        per_partition: dict[str, list[UploadRecord]] = {}
-        for record in self._rows_to_records(rows):
-            pid = to_pid or min(counts, key=lambda p: (counts[p], p))
-            counts[pid] += 1
-            per_partition.setdefault(pid, []).append(record)
+        records = [UploadRecord(*row) for row in rows]
+        per_partition = (
+            {to_pid: records}
+            if to_pid is not None
+            else self._least_loaded(records, self._configured)
+        )
         for pid, batch in sorted(per_partition.items()):
             ids = [record.identifier for record in batch]
             acked = []
             last_error: ReproError | None = None
             for addr in self.partition_map.replicas(pid):
-                client = self._client(self._by_addr[addr])
-                try:
-                    client.delete(tuple(ids))
-                    client.upload(UploadDataset(records=tuple(batch)))
+                error = self._overwrite(addr, ids, batch)
+                if error is None:
                     acked.append(addr)
-                except ReproError as exc:
-                    last_error = exc
-                    self._note_failure(addr, exc)
+                else:
+                    last_error = error
             if not acked:
                 raise ShardUnavailableError(
                     f"partition {pid} unreachable during migration: "

@@ -23,16 +23,17 @@ function.
 from __future__ import annotations
 
 import json
+import os
 import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.cloud.codec import decode_ciphertext, decode_token
-from repro.cloud.server import SearchStats
-from repro.core.base import CRSEScheme
-from repro.core.crse2 import CRSE2Scheme
+from repro.cloud.server import SearchStats, merge_scans, scan
+from repro.core.base import CRSEScheme, EncryptedRecord
 from repro.errors import ParameterError, ServiceError
 from repro.service.schemeio import restore_scheme, scheme_header
 
@@ -42,7 +43,10 @@ __all__ = ["EngineSearchResult", "SearchEngine"]
 # Worker-process state: the rebuilt scheme and this shard's resident
 # records, populated by the pool initializer and the load task.
 _worker_scheme: CRSEScheme | None = None
-_worker_records: list = []
+_worker_records: list[EncryptedRecord] = []
+
+#: How often a worker checks that the server that forked it is alive.
+_PARENT_POLL_S = 0.5
 
 
 def _worker_init(header_json: str) -> None:
@@ -51,6 +55,13 @@ def _worker_init(header_json: str) -> None:
     # shard shutdown is the parent's job (close()), so workers must not
     # die mid-drain with KeyboardInterrupt tracebacks of their own.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # A SIGKILLed server cannot shut its pool down, and an orphaned worker
+    # would otherwise sleep on its call queue forever.  PR_SET_PDEATHSIG
+    # does not cover this: it fires when the forking *thread* exits, and
+    # the pool may fork from an executor thread.
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), daemon=True
+    ).start()
     _worker_scheme = restore_scheme(json.loads(header_json))
     # Fixed-base tables are per-group (hence per-process) state: pay the
     # generator table build once at shard startup, so every generator
@@ -58,6 +69,12 @@ def _worker_init(header_json: str) -> None:
     # first search is not slower than steady state.
     _worker_scheme.group.precompute_generators()
     _worker_records = []
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(0)
 
 
 def _require_worker_scheme() -> CRSEScheme:
@@ -70,7 +87,7 @@ def _worker_load(records: Sequence[tuple[int, bytes]]) -> int:
     scheme = _require_worker_scheme()
     for identifier, payload in records:
         _worker_records.append(
-            (identifier, decode_ciphertext(scheme, payload))
+            EncryptedRecord(identifier, decode_ciphertext(scheme, payload))
         )
     return len(_worker_records)
 
@@ -79,39 +96,25 @@ def _worker_delete(identifiers: frozenset) -> int:
     global _worker_records
     before = len(_worker_records)
     _worker_records = [
-        entry for entry in _worker_records if entry[0] not in identifiers
+        record for record in _worker_records if record.identifier not in identifiers
     ]
     return before - len(_worker_records)
 
 
-def _worker_search(token_payload: bytes) -> tuple[list[int], int, int, float]:
-    started = time.perf_counter()
-    scheme = _require_worker_scheme()
-    token = decode_token(scheme, token_payload)
-    matches: list[int] = []
-    scanned = 0
-    evaluations = 0
-    for identifier, ciphertext in _worker_records:
-        scanned += 1
-        if isinstance(scheme, CRSE2Scheme):
-            matched, evaluated = scheme.matches_with_stats(token, ciphertext)
-            evaluations += evaluated
-        else:
-            matched = scheme.matches(token, ciphertext)
-            evaluations += 1
-        if matched:
-            matches.append(identifier)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return matches, scanned, evaluations, elapsed_ms
-
-
-def _worker_search_batch(
+def _worker_search(
     token_payloads: Sequence[bytes],
-) -> list[tuple[list[int], int, int, float]]:
+) -> list[tuple[list[int], SearchStats]]:
     # One pool task scans the shard once per token; the per-task pickle
     # and dispatch cost — which dominates small-dataset searches — is
     # paid once for the whole vector instead of once per token.
-    return [_worker_search(payload) for payload in token_payloads]
+    scheme = _require_worker_scheme()
+    results = []
+    for payload in token_payloads:
+        # The shard's partition time includes its token decode.
+        started = time.perf_counter()
+        token = decode_token(scheme, payload)
+        results.append(scan(scheme, token, _worker_records, started))
+    return results
 
 
 @dataclass(frozen=True)
@@ -216,7 +219,7 @@ class SearchEngine:
     def search(self, token_payload: bytes) -> EngineSearchResult:
         """Broadcast *token_payload* to all shards and merge the matches.
 
-        Blocks until the slowest shard finishes.  Worker-side decode
+        A batch of one: see :meth:`search_batch`.  Worker-side decode
         failures (malformed token bytes) propagate as the codec's
         :class:`~repro.errors.WireFormatError`.
 
@@ -225,37 +228,17 @@ class SearchEngine:
             :class:`~repro.cloud.server.SearchStats` whose ``partitions``
             holds each shard's scan time.
         """
-        self._require_open()
-        futures = [
-            shard.submit(_worker_search, token_payload)
-            for shard in self._shards
-        ]
-        identifiers: list[int] = []
-        stats = SearchStats()
-        partition_ms: list[float] = []
-        for future in futures:
-            matches, scanned, evaluations, elapsed_ms = future.result()
-            identifiers.extend(matches)
-            stats.records_scanned += scanned
-            stats.sub_token_evaluations += evaluations
-            partition_ms.append(elapsed_ms)
-        identifiers.sort()
-        stats.matches = len(identifiers)
-        stats.partitions = tuple(partition_ms)
-        stats.elapsed_ms = max(partition_ms)
-        return EngineSearchResult(
-            identifiers=tuple(identifiers), stats=stats
-        )
+        return self.search_batch((token_payload,))[0]
 
     def search_batch(
         self, token_payloads: Sequence[bytes]
     ) -> list[EngineSearchResult]:
         """Search every token in one dispatch per shard, in token order.
 
-        Equivalent to ``[self.search(p) for p in token_payloads]`` but
-        each shard receives the whole vector as a single pool task, so
+        Each shard receives the whole vector as a single pool task, so
         the per-task process-pool overhead amortizes across the batch —
         that overhead, not scanning, dominates small-dataset searches.
+        Blocks until the slowest shard finishes.
 
         Raises:
             ParameterError: On an empty batch.
@@ -265,33 +248,10 @@ class SearchEngine:
         if not payloads:
             raise ParameterError("search batch needs at least one token")
         futures = [
-            shard.submit(_worker_search_batch, payloads)
-            for shard in self._shards
+            shard.submit(_worker_search, payloads) for shard in self._shards
         ]
         per_shard = [future.result() for future in futures]
-        results: list[EngineSearchResult] = []
-        for index in range(len(payloads)):
-            identifiers: list[int] = []
-            stats = SearchStats()
-            partition_ms: list[float] = []
-            for shard_results in per_shard:
-                matches, scanned, evaluations, elapsed_ms = shard_results[
-                    index
-                ]
-                identifiers.extend(matches)
-                stats.records_scanned += scanned
-                stats.sub_token_evaluations += evaluations
-                partition_ms.append(elapsed_ms)
-            identifiers.sort()
-            stats.matches = len(identifiers)
-            stats.partitions = tuple(partition_ms)
-            stats.elapsed_ms = max(partition_ms)
-            results.append(
-                EngineSearchResult(
-                    identifiers=tuple(identifiers), stats=stats
-                )
-            )
-        return results
+        return [EngineSearchResult(*merge_scans(scans)) for scans in zip(*per_shard)]
 
     def warm_up(self) -> None:
         """Force every worker process to start and build its scheme.

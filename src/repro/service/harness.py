@@ -173,12 +173,14 @@ class ReplicatedCluster:
     def start(self) -> int:
         """Start every backend plus the coordinator; return its port."""
         for _ in range(self.partitions * self.replication):
-            thread = ServerThread(self._backend_factory())
-            port = thread.start()
-            addr = f"127.0.0.1:{port}"
-            self._order.append(addr)
-            self._threads[addr] = thread
+            self._order.append(self._start_backend())
         return self._start_coordinator()
+
+    def _start_backend(self) -> str:
+        thread = ServerThread(self._backend_factory())
+        addr = f"127.0.0.1:{thread.start()}"
+        self._threads[addr] = thread
+        return addr
 
     def _start_coordinator(self) -> int:
         coordinator = self._coordinator_cls(
@@ -206,13 +208,9 @@ class ReplicatedCluster:
         the new replica's addr.  The coordinator's port changes — dial
         :attr:`coordinator_port` again.
         """
-        old = self._threads.pop(addr)
-        old.stop(drain=False)
-        thread = ServerThread(self._backend_factory())
-        port = thread.start()
-        new_addr = f"127.0.0.1:{port}"
+        self._threads.pop(addr).stop(drain=False)
+        new_addr = self._start_backend()
         self._order[self._order.index(addr)] = new_addr
-        self._threads[new_addr] = thread
         if self._coord_thread is not None:
             self._coord_thread.stop(drain=False)
         self._start_coordinator()

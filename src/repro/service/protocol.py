@@ -60,6 +60,7 @@ from repro.cloud.messages import (
     UploadDataset,
     UploadRecord,
 )
+from repro.cloud.server import SearchStats
 from repro.errors import ConnectionClosedError, WireFormatError
 
 __all__ = [
@@ -90,6 +91,8 @@ __all__ = [
     "search_wants_verify",
     "search_batch_fields",
     "search_batch_from_fields",
+    "search_stats_fields",
+    "search_stats_from_fields",
     "batch_results_fields",
     "batch_results_from_fields",
     "integrity_section_fields",
@@ -532,6 +535,34 @@ def search_batch_from_fields(fields: dict) -> tuple[bytes, ...]:
     return tuple(
         _unb64(token, f"batch token {index}")
         for index, token in enumerate(tokens)
+    )
+
+
+def search_stats_fields(stats: SearchStats) -> dict:
+    """The ``stats`` object of a search reply (times rounded to 1 µs)."""
+    return {
+        "records_scanned": stats.records_scanned,
+        "matches": stats.matches,
+        "sub_token_evaluations": stats.sub_token_evaluations,
+        "elapsed_ms": round(stats.elapsed_ms, 3),
+        "partitions": [round(ms, 3) for ms in stats.partitions],
+    }
+
+
+def search_stats_from_fields(fields: dict) -> SearchStats:
+    """Rebuild :class:`SearchStats` from a reply's ``stats`` object;
+    absent or non-list entries read as zero work."""
+    partitions = fields.get("partitions")
+    return SearchStats(
+        records_scanned=int(fields.get("records_scanned", 0)),
+        matches=int(fields.get("matches", 0)),
+        sub_token_evaluations=int(fields.get("sub_token_evaluations", 0)),
+        elapsed_ms=float(fields.get("elapsed_ms", 0.0)),
+        partitions=(
+            tuple(float(ms) for ms in partitions)
+            if isinstance(partitions, list)
+            else ()
+        ),
     )
 
 

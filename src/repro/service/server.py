@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 from repro.cloud.codec import decode_token
 from repro.cloud.messages import SearchRequest, UploadDataset, UploadRecord
-from repro.cloud.server import CloudServer, SearchStats
+from repro.cloud.server import CloudServer, PreparedUpload
 from repro.core.base import CRSEScheme
 from repro.errors import (
     IntegrityError,
@@ -126,16 +126,6 @@ os.register_at_fork(
     after_in_parent=_server_fds_lock.release,
     after_in_child=_close_server_fds_in_child,
 )
-
-
-def _stats_fields(stats: SearchStats) -> dict:
-    return {
-        "records_scanned": stats.records_scanned,
-        "matches": stats.matches,
-        "sub_token_evaluations": stats.sub_token_evaluations,
-        "elapsed_ms": round(stats.elapsed_ms, 3),
-        "partitions": [round(ms, 3) for ms in stats.partitions],
-    }
 
 
 class FramedServer:
@@ -293,33 +283,23 @@ class FramedServer:
         request_tasks: set[asyncio.Task] = set()
         try:
             while True:
+                body = None
                 try:
                     body = await protocol.read_frame(reader)
-                except WireFormatError as exc:
-                    # Frame alignment is gone; answer once and hang up.
-                    self.metrics.count_protocol_error()
-                    await self._locked_reply(
-                        writer,
-                        write_lock,
-                        protocol.encode_error(
-                            0, protocol.ERR_PROTOCOL, str(exc)
-                        ),
-                    )
-                    return
-                if body is None:
-                    return
-                try:
+                    if body is None:
+                        return
                     request = protocol.decode_request(body)
                 except WireFormatError as exc:
-                    # Bad envelope in a well-formed frame: recoverable.
                     self.metrics.count_protocol_error()
                     await self._locked_reply(
                         writer,
                         write_lock,
-                        protocol.encode_error(
-                            0, protocol.ERR_PROTOCOL, str(exc)
-                        ),
+                        protocol.encode_error(0, protocol.ERR_PROTOCOL, str(exc)),
                     )
+                    # A bad envelope in a well-formed frame is recoverable;
+                    # a broken frame lost the stream's alignment: hang up.
+                    if body is None:
+                        return
                     continue
                 task = asyncio.ensure_future(
                     self._serve_request(request, writer, write_lock)
@@ -542,25 +522,11 @@ class ServiceServer(FramedServer):
                 "store was created for a different scheme than this server "
                 "(public header mismatch)"
             )
-        records = tuple(
-            UploadRecord(
-                identifier=identifier,
-                payload=payload,
-                content=content,
-                tag=tag,
-                mtag=mtag,
-            )
-            for identifier, payload, content, tag, mtag in store.scan_tagged()
-        )
+        records = tuple(UploadRecord(*row) for row in store.scan_tagged())
         if records:
-            self.cloud.handle_upload(UploadDataset(records=records))
-            self.engine.load(
-                (record.identifier, record.payload) for record in records
+            self._apply(
+                self.cloud.prepare_upload(UploadDataset(records=records))
             )
-            for record in records:
-                self.integrity.add(
-                    record.identifier, record.payload, record.tag, record.mtag
-                )
         self.cloud.log.uploads = store.uploads
 
     async def _prepare(self) -> None:
@@ -597,17 +563,20 @@ class ServiceServer(FramedServer):
                     )
                     for record in message.records
                 )
-            self.cloud.commit_upload(prepared)
-            self.engine.load(
-                (record.identifier, record.payload)
-                for record in message.records
-            )
-            for record in message.records:
-                self.integrity.add(
-                    record.identifier, record.payload, record.tag, record.mtag
-                )
+            self._apply(prepared)
             self._checkpoint_integrity()
             return self.cloud.record_count
+
+    def _apply(self, prepared: PreparedUpload) -> None:
+        """Apply a validated batch to the cloud state, the engine shards
+        and the integrity registry."""
+        records = prepared.message.records
+        self.cloud.commit_upload(prepared)
+        self.engine.load((record.identifier, record.payload) for record in records)
+        for record in records:
+            self.integrity.add(
+                record.identifier, record.payload, record.tag, record.mtag
+            )
 
     def _checkpoint_integrity(self) -> None:
         """Checkpoint the accumulator into the manifest (durable stores).
@@ -646,31 +615,25 @@ class ServiceServer(FramedServer):
     async def _do_search(self, request: protocol.Request) -> dict:
         message = protocol.search_from_fields(request.fields)
         verify = protocol.search_wants_verify(request.fields)
-        return await self._admitted(
-            [message.payload], self._search_once, message.payload, verify
+        (fields,) = await self._admitted(
+            (message.payload,),
+            lambda payloads: [self.engine.search(payloads[0])],
+            verify,
         )
+        return fields
 
     async def _do_search_batch(self, request: protocol.Request) -> dict:
         payloads = protocol.search_batch_from_fields(request.fields)
+        # One dispatch per shard for the whole vector — the per-task pool
+        # overhead that dominates small-dataset searches is paid once for
+        # the batch.
+        results = await self._admitted(payloads, self.engine.search_batch)
+        return protocol.batch_results_fields(
+            (fields["identifiers"], fields["stats"]) for fields in results
+        )
 
-        def run_batch() -> dict:
-            # One dispatch per shard for the whole vector — the per-task
-            # pool overhead that dominates small-dataset searches is paid
-            # once for the batch.
-            engine_results = self.engine.search_batch(payloads)
-            results = []
-            for result in engine_results:
-                self.cloud.log.access_pattern.append(result.identifiers)
-                self.cloud.last_search_stats = result.stats
-                results.append(
-                    (list(result.identifiers), _stats_fields(result.stats))
-                )
-            return protocol.batch_results_fields(results)
-
-        return await self._admitted(payloads, run_batch)
-
-    async def _admitted(self, payloads, search, *args) -> dict:
-        """Run *search* on the executor while the tokens are admitted.
+    async def _admitted(self, payloads, search, verify=False) -> list[dict]:
+        """Search *payloads* on the executor while the tokens are admitted.
 
         Admission decodes every token in this process and logs it as its
         own query, so a batch observes exactly N independent searches and
@@ -681,7 +644,7 @@ class ServiceServer(FramedServer):
         admission adds no latency on a multi-core host.
         """
         fields, _ = await asyncio.gather(
-            self._offload(search, *args),
+            self._offload(self._searched, payloads, search, verify),
             self._offload(self._admit_tokens, payloads),
         )
         return fields
@@ -691,38 +654,36 @@ class ServiceServer(FramedServer):
             token = decode_token(self.cloud.scheme, payload)
             self.cloud._record_query_leakage(SearchRequest(payload=payload), token)
 
-    def _search_once(self, payload: bytes, verify: bool) -> dict:
-        """Run one token against the engine (executor thread)."""
-        result = self.engine.search(payload)
-        self.cloud.log.access_pattern.append(result.identifiers)
-        self.cloud.last_search_stats = result.stats
-        fields = {
-            "identifiers": list(result.identifiers),
-            "stats": _stats_fields(result.stats),
-        }
-        if verify:
-            # Attach per-match tags and the completeness proof.  A
-            # shard holding untagged records cannot attest, which is
-            # the requester's problem statement — a PROTOCOL error,
-            # not an internal one.
-            try:
-                fields.update(
-                    protocol.integrity_section_fields(
-                        self.integrity.matches_section(result.identifiers),
-                        [
-                            self.integrity.proof_for(
-                                result.identifiers, payload
-                            )
-                        ],
+    def _searched(self, payloads, search, verify: bool) -> list[dict]:
+        """Reply fields for each token of ``search(payloads)`` (executor
+        thread): matches and scan stats, plus the integrity section when
+        a single search asked for verification."""
+        replies = []
+        for payload, result in zip(payloads, search(payloads)):
+            self.cloud.log.access_pattern.append(result.identifiers)
+            self.cloud.last_search_stats = result.stats
+            fields = {
+                "identifiers": list(result.identifiers),
+                "stats": protocol.search_stats_fields(result.stats),
+            }
+            if verify:
+                # Per-match tags and the completeness proof.  A shard
+                # holding untagged records cannot attest, which is the
+                # requester's problem statement — a PROTOCOL error, not an
+                # internal one.
+                try:
+                    fields.update(
+                        protocol.integrity_section_fields(
+                            self.integrity.matches_section(result.identifiers),
+                            [self.integrity.proof_for(result.identifiers, payload)],
+                        )
                     )
-                )
-            except IntegrityError as exc:
-                self._last_proof = "failed"
-                raise ProtocolError(
-                    f"verification unavailable: {exc}"
-                ) from exc
-            self._last_proof = "served"
-        return fields
+                except IntegrityError as exc:
+                    self._last_proof = "failed"
+                    raise ProtocolError(f"verification unavailable: {exc}") from exc
+                self._last_proof = "served"
+            replies.append(fields)
+        return replies
 
     async def _do_fetch(self, request: protocol.Request) -> dict:
         message = protocol.fetch_from_fields(request.fields)

@@ -218,6 +218,21 @@ def env():
     return scheme, dataset, token
 
 
+@pytest.fixture(scope="module")
+def batch(env):
+    """A ``search_batch`` vector: the env token, then a token under an
+    unrelated key (it matches nothing)."""
+    scheme, _, token = env
+    rng = random.Random(0xBA7C)
+    stranger = encode_token(
+        scheme,
+        scheme.gen_token(
+            scheme.gen_key(rng), Circle.from_radius((8, 8), 5), rng
+        ),
+    )
+    return (token, stranger)
+
+
 def _in_process_shard(scheme) -> ServerThread:
     handle = ServerThread(ServiceServer(scheme, config=ServiceConfig()))
     handle.start()
@@ -385,6 +400,39 @@ class TestProxyFaults:
             coordinator.stop()
             proxy.close()
 
+    def test_truncated_batch_reply_is_typed_shard_loss(
+        self, env, shards, batch
+    ):
+        _, dataset, _ = env
+        proxy = FaultProxy(shards[1].port, mode="pass")
+        coordinator = _coordinator_over([shards[0].port, proxy.port])
+        try:
+            client = ServiceClient("127.0.0.1", coordinator.port)
+            client.upload(dataset)
+            direct = ServiceClient("127.0.0.1", shards[0].port)
+            healthy_matches = {
+                i
+                for response, _ in direct.search_batch(batch)
+                for i in response.identifiers
+            }
+            proxy.mode = "truncate"
+            with pytest.raises(ShardUnavailableError) as excinfo:
+                client.search_batch(batch)
+            error = excinfo.value
+            assert sorted(r["ok"] for r in error.shards) == [False, True]
+            healthy_ids = set(
+                coordinator.server.partition_map.ids_on(
+                    f"127.0.0.1:{shards[0].port}"
+                )
+            )
+            # The partial union is exactly what the healthy shard matched
+            # across the whole vector.
+            assert set(error.partial_identifiers) <= healthy_ids
+            assert set(error.partial_identifiers) == healthy_matches
+        finally:
+            coordinator.stop()
+            proxy.close()
+
     def test_busy_storm_retries_only_the_busy_shard(self, env, shards):
         _, dataset, token = env
         proxy = FaultProxy(shards[1].port, mode="pass")
@@ -544,6 +592,57 @@ class TestReplicationFaults:
         assert sorted(response.identifiers) == sorted(
             reference.identifiers
         )
+
+    def test_stalled_replica_batch_fails_over_within_deadline(
+        self, env, replica_pair, batch
+    ):
+        _, dataset, _ = env
+        backends, proxy, coordinator = replica_pair
+        client = ServiceClient("127.0.0.1", coordinator.port)
+        client.upload(dataset)
+        reference = [
+            sorted(response.identifiers)
+            for response, _ in client.search_batch(batch)
+        ]
+        assert reference[0] and reference[1] == []
+        proxy_addr = f"127.0.0.1:{proxy.port}"
+        self._steer_reads_to(coordinator, proxy_addr)
+        proxy.mode = "stall"
+        contacted_before = proxy.connections
+        started = time.monotonic()
+        results = client.search_batch(batch, deadline_ms=4000)
+        elapsed = time.monotonic() - started
+        # The stalled replica was attempted, the sibling answered inside
+        # the original deadline, and every token kept its own result.
+        assert proxy.connections > contacted_before
+        assert elapsed < 4.0
+        assert [
+            sorted(response.identifiers) for response, _ in results
+        ] == reference
+
+    def test_delete_during_stall_marks_dirty_and_repair_converges(
+        self, env, replica_pair
+    ):
+        _, dataset, _ = env
+        backends, proxy, coordinator = replica_pair
+        coord = coordinator.server
+        client = ServiceClient("127.0.0.1", coordinator.port)
+        client.upload(dataset)
+        doomed = tuple(record.identifier for record in dataset.records[:4])
+        kept = len(dataset.records) - len(doomed)
+        proxy.mode = "stall"
+        assert client.delete(doomed, deadline_ms=2500) == len(doomed)
+        proxy_addr = f"127.0.0.1:{proxy.port}"
+        # The sibling applied the delete; the stalled replica still holds
+        # the rows and owes their removal.
+        assert backends[1].server.cloud.record_count == kept
+        assert backends[0].server.cloud.record_count == len(dataset.records)
+        assert set(coord.partition_map.dirty_on(proxy_addr)) == set(doomed)
+        proxy.mode = "pass"
+        healed = coord.repair()
+        assert healed == {proxy_addr: len(doomed)}
+        assert not coord.partition_map.dirty_on(proxy_addr)
+        assert backends[0].server.cloud.record_count == kept
 
     def test_upload_during_stall_marks_dirty_and_repair_converges(
         self, env, replica_pair

@@ -8,6 +8,7 @@ import pytest
 
 from repro.crypto.groups.curve import INFINITY, Point, SupersingularCurve
 from repro.errors import CryptoError
+from repro.math.modular import is_quadratic_residue, sqrt_mod
 
 Q = 1000003  # ≡ 3 (mod 4)
 
@@ -33,6 +34,21 @@ class TestConstruction:
 
     def test_random_points_on_curve(self, curve, sample_points):
         assert all(curve.contains(p) for p in sample_points)
+
+    def test_random_point_draws_match_residue_check(self, curve):
+        # Reference: test residuosity first, then take the root — the
+        # sampler must consume the same draws and return the same points.
+        ours, reference = random.Random(5), random.Random(5)
+        for _ in range(20):
+            while True:
+                x = reference.randrange(Q)
+                rhs = (x**3 + x) % Q
+                if is_quadratic_residue(rhs, Q):
+                    break
+            y = sqrt_mod(rhs, Q)
+            if reference.getrandbits(1):
+                y = (-y) % Q
+            assert curve.random_point(ours) == Point(x, y)
 
 
 class TestGroupLaw:
@@ -122,6 +138,17 @@ class TestCompression:
                 break
         else:
             pytest.fail("expected some x to be off-curve")
+
+    def test_off_curve_error_names_no_operand(self, curve):
+        size = curve.compressed_byte_length() - 1
+        x = next(
+            x for x in range(2, 100) if not is_quadratic_residue(x**3 + x, Q)
+        )
+        with pytest.raises(CryptoError) as excinfo:
+            curve.decompress(bytes([0]) + x.to_bytes(size, "big"))
+        assert str(excinfo.value) == "x-coordinate is not on the curve"
+        assert excinfo.value.__cause__ is None
+        assert excinfo.value.__suppress_context__
 
     def test_wrong_length_rejected(self, curve):
         with pytest.raises(CryptoError):

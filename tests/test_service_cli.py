@@ -130,6 +130,55 @@ def _reap(proc: subprocess.Popen) -> None:
         proc.stdout.close()
 
 
+def _ps(*argv: str) -> str:
+    return subprocess.run(
+        ["ps", *argv], capture_output=True, text=True, timeout=30
+    ).stdout
+
+
+def _alive_with(pid: int, marker: str) -> bool:
+    """Whether *pid* still runs (not a zombie) with *marker* in its
+    command line — so a recycled pid is never mistaken for a worker.
+    ``-ww`` keeps ps from truncating the command line."""
+    fields = _ps("-ww", "-o", "stat=", "-o", "args=", "-p", str(pid)).strip()
+    return bool(fields) and not fields.startswith("Z") and marker in fields
+
+
+def test_engine_workers_exit_with_a_killed_server(artifacts):
+    """A SIGKILLed server cannot shut its pool down; its engine workers
+    must notice the lost parent and exit rather than sleep forever."""
+    key, _, root = artifacts
+    port_file = root / "orphan.port"
+    marker = f"--port-file {port_file}"
+    serve = _spawn(
+        [
+            "serve", "--key", str(key), "--port", "0",
+            "--port-file", str(port_file), "--workers", "1",
+        ]
+    )
+    workers: list[int] = []
+    try:
+        _await_port(serve, port_file, "serve")
+        workers = [
+            int(pid) for pid in _ps("-o", "pid=", "--ppid", str(serve.pid)).split()
+        ]
+        assert workers, "serve forked no engine worker"
+        serve.kill()
+        serve.wait(timeout=30)
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and any(
+            _alive_with(pid, marker) for pid in workers
+        ):
+            time.sleep(0.1)
+        survivors = [pid for pid in workers if _alive_with(pid, marker)]
+        assert not survivors, f"engine workers {survivors} outlived their server"
+    finally:
+        _reap(serve)
+        for pid in workers:
+            if _alive_with(pid, marker):
+                os.kill(pid, signal.SIGKILL)
+
+
 def test_coordinator_verify_and_partial_results(artifacts):
     """Verified queries work through the coordinator; a killed shard
     degrades to exit 1 with the partial-results banner."""
